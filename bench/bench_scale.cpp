@@ -123,8 +123,9 @@ int main(int argc, char** argv) {
               opts.protocol.c_str(), opts.topology.c_str(), opts.mode.c_str(),
               opts.delay.c_str(), opts.sim_threads, opts.horizon,
               static_cast<unsigned long long>(opts.seed));
-  std::printf("%10s %12s %12s %10s %10s %10s %12s %12s %8s\n", "n", "events", "messages",
-              "msgs_rnd", "wall_s", "rss_mb", "max_skew", "local_skew", "windows");
+  std::printf("%10s %12s %12s %10s %10s %10s %12s %12s %8s %10s\n", "n", "events",
+              "messages", "msgs_rnd", "wall_s", "rss_mb", "max_skew", "local_skew", "windows",
+              "metrics");
 
   std::FILE* json = nullptr;
   if (!opts.json_path.empty()) {
@@ -204,24 +205,26 @@ int main(int argc, char** argv) {
     const double msgs_per_round = static_cast<double>(r.messages_sent) / rounds;
     const long rss = peak_rss_mb();
 
-    std::printf("%10u %12llu %12llu %10.3e %10.2f %10ld %12.3e %12.3e %8llu\n", n,
+    const char* regime = experiment::metric_regime_name(r.metric_regime);
+    std::printf("%10u %12llu %12llu %10.3e %10.2f %10ld %12.3e %12.3e %8llu %10s\n", n,
                 static_cast<unsigned long long>(r.events_dispatched),
                 static_cast<unsigned long long>(r.messages_sent), msgs_per_round, wall,
                 rss, r.max_skew, r.local_skew,
-                static_cast<unsigned long long>(r.parallel_windows));
+                static_cast<unsigned long long>(r.parallel_windows), regime);
     std::fflush(stdout);
     if (json != nullptr) {
       std::fprintf(json,
                    "{\"name\": \"bench_scale/%s/%s/%s/n=%u/t=%u\", \"n\": %u, "
                    "\"sim_threads\": %u, \"events\": %llu, \"messages\": %llu, "
                    "\"msgs_per_round\": %.1f, \"wall_s\": %.3f, \"rss_mb\": %ld, "
-                   "\"max_skew\": %.6e, \"local_skew\": %.6e, \"parallel_windows\": %llu}\n",
+                   "\"max_skew\": %.6e, \"local_skew\": %.6e, \"parallel_windows\": %llu, "
+                   "\"metric_regime\": \"%s\"}\n",
                    opts.protocol.c_str(), opts.topology.c_str(), opts.mode.c_str(), n,
                    opts.sim_threads, n, opts.sim_threads,
                    static_cast<unsigned long long>(r.events_dispatched),
                    static_cast<unsigned long long>(r.messages_sent), msgs_per_round, wall,
                    rss, r.max_skew, r.local_skew,
-                   static_cast<unsigned long long>(r.parallel_windows));
+                   static_cast<unsigned long long>(r.parallel_windows), regime);
       std::fflush(json);
     }
     if (opts.budget > 0 && wall > opts.budget) {

@@ -40,15 +40,16 @@ if [[ "$SCALE" -eq 1 ]]; then
   ROWS="$(mktemp)"
   trap 'rm -f "$ROWS"' EXIT
   # The message-complexity cliff: the same auth cells in full mode (Theta(n^2)
-  # per round — n = 1000 alone is ~5M messages and ~90 s, which is why the
-  # full leg stops there) vs sampled fan-out on an expander (O(m*n), so
-  # n = 10^5 is cheaper than full mode at n = 10^3). The acceptance cell is
-  # the n = 10^5 sampled row, budget-enforced.
+  # per round — n = 1000 alone is ~5M messages, which is why the full leg
+  # stops there) vs sampled fan-out on an expander (O(m*n), so n = 10^5 is
+  # cheaper than full mode at n = 10^3). The full-mode n = 300 and n = 1000
+  # rows are the complete-graph ladder cells. The acceptance cell is the
+  # n = 10^5 sampled row, budget-enforced.
   # (n = 4096, not a round 4000: cells at or above kScaleMetricThreshold use
   # the O(n) streaming metric policy; 4000 would pay full-fidelity metrics
   # and dominate its own row.)
   "$BUILD_DIR/bench_scale" --protocol auth --topology complete --mode full \
-    --n 1000 --horizon 5 --json "$ROWS"
+    --n 300 --n 1000 --horizon 5 --json "$ROWS"
   "$BUILD_DIR/bench_scale" --protocol auth --topology expander --expander-k 16 \
     --mode sampled --sample 8 --n 1000 --n 4096 --n 100000 --horizon 5 \
     --budget 120 --json "$ROWS"

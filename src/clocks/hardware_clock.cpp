@@ -6,7 +6,8 @@
 
 namespace stclock {
 
-HardwareClock::HardwareClock(LocalTime initial, double rate) {
+HardwareClock::HardwareClock(LocalTime initial, double rate)
+    : min_rate_(rate), max_rate_(rate) {
   ST_REQUIRE(rate > 0, "HardwareClock: rate must be positive");
   segments_.push_back(Segment{0.0, initial, rate});
 }
@@ -15,6 +16,8 @@ void HardwareClock::set_rate_from(RealTime from, double rate) {
   ST_REQUIRE(rate > 0, "HardwareClock: rate must be positive");
   const Segment& last = segments_.back();
   ST_REQUIRE(from >= last.real_start, "HardwareClock: segments must be appended in order");
+  min_rate_ = std::min(min_rate_, rate);
+  max_rate_ = std::max(max_rate_, rate);
   if (from == last.real_start) {
     segments_.back().rate = rate;
     return;

@@ -36,6 +36,12 @@ class HardwareClock {
 
   [[nodiscard]] LocalTime initial_value() const { return segments_.front().local_start; }
 
+  /// Smallest / largest rate the clock was ever given (a rate replaced at
+  /// its own start time included): bounds on dH/dt over the whole
+  /// trajectory.
+  [[nodiscard]] double min_rate() const { return min_rate_; }
+  [[nodiscard]] double max_rate() const { return max_rate_; }
+
   /// True iff every segment rate lies within [1/(1+rho), 1+rho] (with a tiny
   /// tolerance for round-off). Drift models assert this after construction.
   [[nodiscard]] bool respects_drift_bound(double rho) const;
@@ -51,6 +57,8 @@ class HardwareClock {
   [[nodiscard]] std::size_t segment_at(RealTime t) const;
 
   std::vector<Segment> segments_;
+  double min_rate_;
+  double max_rate_;
 };
 
 }  // namespace stclock

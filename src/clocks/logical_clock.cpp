@@ -26,6 +26,12 @@ LocalTime LogicalClock::read_at_hardware(LocalTime h) const {
 
 LocalTime LogicalClock::read(RealTime t) const { return read_at_hardware(hw_->read(t)); }
 
+void LogicalClock::push_piece(const Piece& piece) {
+  pieces_.push_back(piece);
+  min_slope_ = std::min(min_slope_, piece.slope);
+  max_slope_ = std::max(max_slope_, piece.slope);
+}
+
 void LogicalClock::record(Duration delta) {
   total_adjustment_ += delta;
   max_abs_adjustment_ = std::max(max_abs_adjustment_, std::abs(delta));
@@ -37,7 +43,7 @@ void LogicalClock::adjust_instant(LocalTime h_now, Duration delta) {
              "LogicalClock: adjustments must move forward in hardware time");
   const LocalTime value_now = read_at_hardware(h_now);
   const double tail_slope = pieces_.back().slope;
-  pieces_.push_back(Piece{h_now, value_now + delta, tail_slope});
+  push_piece(Piece{h_now, value_now + delta, tail_slope});
   record(delta);
 }
 
@@ -50,8 +56,8 @@ void LogicalClock::adjust_amortized(LocalTime h_now, Duration delta, Duration wi
   const LocalTime value_now = read_at_hardware(h_now);
   const double tail_slope = pieces_.back().slope;
   // Ramp piece: base slope of the tail plus the correction rate.
-  pieces_.push_back(Piece{h_now, value_now, tail_slope + delta / window});
-  pieces_.push_back(Piece{h_now + window, value_now + tail_slope * window + delta, tail_slope});
+  push_piece(Piece{h_now, value_now, tail_slope + delta / window});
+  push_piece(Piece{h_now + window, value_now + tail_slope * window + delta, tail_slope});
   record(delta);
 }
 
@@ -65,7 +71,7 @@ void LogicalClock::adjust_override(LocalTime h_now, Duration delta) {
   while (pieces_.back().h_start > h_now) pieces_.pop_back();
   // Slope resets to the nominal 1.0: if the override lands mid-ramp, the
   // ramp's rate modulation is part of the state being overwritten.
-  pieces_.push_back(Piece{h_now, value_now + delta, 1.0});
+  push_piece(Piece{h_now, value_now + delta, 1.0});
   record(delta);
 }
 

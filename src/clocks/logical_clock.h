@@ -62,6 +62,14 @@ class LogicalClock {
   /// Effective logical rate dL/dt at real time t.
   [[nodiscard]] double rate_at(RealTime t) const;
 
+  /// Smallest / largest slope dL/dh of any piece the clock has ever had,
+  /// scheduled future ramps included. Every slope is positive (amortized
+  /// ramps keep the clock monotone), so between adjustments the logical
+  /// rate stays within [min_slope * min hardware rate, max_slope * max
+  /// hardware rate].
+  [[nodiscard]] double min_slope() const { return min_slope_; }
+  [[nodiscard]] double max_slope() const { return max_slope_; }
+
   [[nodiscard]] const HardwareClock& hardware() const { return *hw_; }
 
   /// Total signed correction applied so far.
@@ -78,10 +86,13 @@ class LogicalClock {
   };
 
   [[nodiscard]] std::size_t piece_at(LocalTime h) const;
+  void push_piece(const Piece& piece);
   void record(Duration delta);
 
   const HardwareClock* hw_;
   std::vector<Piece> pieces_;
+  double min_slope_ = 1.0;
+  double max_slope_ = 1.0;
   Duration total_adjustment_ = 0;
   Duration max_abs_adjustment_ = 0;
   std::size_t adjustment_count_ = 0;

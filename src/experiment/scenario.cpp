@@ -276,6 +276,13 @@ void validate_spec(const ScenarioSpec& spec, EngineMode mode) {
   (void)checked_topology(spec);
 }
 
+MetricRegime metric_regime(std::uint32_t n) {
+  static_assert(SkewTracker::kLocalSkewPoolMaxN == EnvelopeTracker::kStreamPoolMaxN,
+                "both trackers pool past the same fleet size");
+  if (n > SkewTracker::kLocalSkewPoolMaxN) return MetricRegime::kPooled;
+  return n >= kScaleMetricThreshold ? MetricRegime::kDecimated : MetricRegime::kExact;
+}
+
 std::uint32_t broadcast_fanin(const ScenarioSpec& spec) {
   const std::uint32_t n = spec.cfg.n;
   const std::uint32_t peers = n > 0 ? n - 1 : 0;
@@ -461,7 +468,8 @@ ScenarioResult run_scenario_with(const ScenarioSpec& spec, EngineMode mode,
   // Metric-granularity floor for the explicit stepping loop below; hoisted
   // here because the scale policy derives the skew sampling gap from it.
   const Duration step = std::max(spec.skew_series_interval, 1e-3);
-  const bool scale_mode = cfg.n >= kScaleMetricThreshold;
+  result.metric_regime = metric_regime(cfg.n);
+  const bool scale_mode = result.metric_regime != MetricRegime::kExact;
 
   // The integration predicate goes through the simulator's include probe (not
   // a tracker-private functor) so the parallel engine can answer it from the
@@ -534,6 +542,7 @@ ScenarioResult run_scenario_with(const ScenarioSpec& spec, EngineMode mode,
   result.corruption_events = sim.corruption_events_fired();
   result.nodes_corrupted = sim.nodes_corrupted();
   result.parallel_windows = sim.parallel_windows();
+  result.skew_rebuilds = skew.rebuilds();
   if (!spec.corrupt_at.empty()) {
     result.stabilized = skew.stabilized();
     result.stabilization_time = skew.stabilization_time();

@@ -34,6 +34,27 @@ namespace stclock::experiment {
 /// never perturb a pinned row.
 inline constexpr std::uint32_t kScaleMetricThreshold = 4096;
 
+/// Which metric approximations a run is under — a pure function of n,
+/// reported in every result (ScenarioResult::metric_regime).
+enum class MetricRegime : std::uint8_t {
+  kExact,      ///< skew sampled after every event, every node measured
+  kDecimated,  ///< n >= kScaleMetricThreshold: skew samples at least half a
+               ///< step apart, streaming envelope
+  kPooled,     ///< n > 2^20 as well: local skew (sparse graphs) and the
+               ///< envelope fit cover only ids < 2^20
+};
+
+[[nodiscard]] MetricRegime metric_regime(std::uint32_t n);
+
+[[nodiscard]] inline const char* metric_regime_name(MetricRegime regime) {
+  switch (regime) {
+    case MetricRegime::kExact: return "exact";
+    case MetricRegime::kDecimated: return "decimated";
+    case MetricRegime::kPooled: return "pooled";
+  }
+  return "unknown";
+}
+
 /// How the engine treats the protocol under test.
 enum class EngineMode {
   /// A Srikanth–Toueg variant: the engine derives the paper's theoretical
@@ -236,6 +257,14 @@ struct ScenarioResult {
   /// of the resultstore codec, so a run's encoded bytes stay identical
   /// whichever engine produced them.
   std::uint64_t parallel_windows = 0;
+  /// The metric regime metric_regime(n) put the run in; like
+  /// parallel_windows, outside the resultstore codec (cache hits get it
+  /// recomputed from the spec).
+  MetricRegime metric_regime = MetricRegime::kExact;
+  /// Full fleet re-reads of the skew tracker's complete-graph index
+  /// (SkewTracker::rebuilds): a handful when it tracked events
+  /// incrementally. Outside the codec as well.
+  std::uint64_t skew_rebuilds = 0;
 };
 
 /// Builds one honest protocol instance. `joining` is true for late joiners

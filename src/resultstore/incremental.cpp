@@ -27,6 +27,7 @@ std::vector<experiment::ScenarioResult> run_cells_cached(
     if (use_cache) {
       if (std::optional<experiment::ScenarioResult> hit = store->load(keys[i])) {
         results[i] = std::move(*hit);
+        results[i].metric_regime = experiment::metric_regime(cells[i].spec.cfg.n);
         if (stats) ++stats->hits;
         continue;
       }

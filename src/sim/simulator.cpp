@@ -275,8 +275,12 @@ void Simulator::dispatch(const Event& ev) {
     TimerState& slot = timer_state(id);
     const TimerState kind = slot;
     slot = TimerState::kFired;  // each armed timer pops exactly once
+    // Process, start, stop and tick timers touch only their owner node; the
+    // cases below override this where the owner slot is not a node.
+    last_event_node_ = ev.timer.node;
     switch (kind) {
       case TimerState::kCancelled:
+        last_event_node_ = kNoNode;
         return;
       case TimerState::kArmedStart: {
         Node& node = nodes_[ev.timer.node];
@@ -321,12 +325,14 @@ void Simulator::dispatch(const Event& ev) {
         // Topology epoch boundary: swap the live graph and tell the delay
         // policy. Boundaries fire in epoch order (armed ascending at start),
         // so the owner slot's epoch index only ever moves forward.
+        last_event_node_ = kNoNode;
         epoch_ = timer_owners_[static_cast<std::size_t>(id - 1)];
         topo_now_ = params_.schedule->epoch_graph(epoch_).get();
         delays_->on_topology_change(*topo_now_, now_);
         return;
       }
       case TimerState::kArmedCorrupt:
+        last_event_node_ = kAllNodes;
         apply_corruption(timer_owners_[static_cast<std::size_t>(id - 1)]);
         return;
       case TimerState::kArmedTick: {
@@ -341,6 +347,7 @@ void Simulator::dispatch(const Event& ev) {
         return;
       }
       case TimerState::kArmedAdversary:
+        last_event_node_ = kNoNode;
         if (adversary_ != nullptr) adversary_->on_timer(*adv_ctx_, id);
         return;
       case TimerState::kArmedProcess: {
@@ -358,6 +365,7 @@ void Simulator::dispatch(const Event& ev) {
   const DeliveryEvent& d = ev.delivery;
   counters_.on_deliver(message_kind(*d.msg));
   Node& node = nodes_[d.to];
+  last_event_node_ = node.corrupt ? kNoNode : d.to;
   if (node.corrupt) {
     if (adversary_ != nullptr) adversary_->on_message(*adv_ctx_, d.to, d.from, *d.msg);
     return;

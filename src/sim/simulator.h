@@ -182,6 +182,20 @@ class Simulator {
   [[nodiscard]] const MessageCounters& counters() const { return counters_; }
   [[nodiscard]] MessageCounters& counters() { return counters_; }
 
+  /// last_event_node() sentinels: the last event changed no node's state
+  /// (topology epoch, adversary, cancelled timer), or possibly every node's
+  /// (a corruption event).
+  static constexpr NodeId kNoNode = 0xffffffffu;
+  static constexpr NodeId kAllNodes = 0xfffffffeu;
+
+  /// The only honest node whose observable state (started flag, include
+  /// probe, logical clock) the last dispatched event may have changed: the
+  /// timer's owner or the delivery's recipient, kNoNode or kAllNodes for
+  /// fleet-wide events. Together with events_dispatched() this lets a
+  /// post-event hook update per-node state incrementally instead of
+  /// re-reading the fleet. Both engines set it before the hook runs.
+  [[nodiscard]] NodeId last_event_node() const { return last_event_node_; }
+
   /// Total events dispatched so far (timers + deliveries, cancelled timer
   /// pops included). Part of the determinism contract: for a fixed spec the
   /// count is reproducible bit-for-bit, which the golden trace test pins.
@@ -346,6 +360,7 @@ class Simulator {
   RealTime now_ = 0;
   bool started_ = false;
   std::uint64_t events_dispatched_ = 0;
+  NodeId last_event_node_ = kNoNode;
   std::uint64_t messages_dropped_ = 0;
   TimerId next_timer_id_ = 1;
   /// Flat timer-state table, indexed by TimerId - 1 (ids are allocated

@@ -637,6 +637,7 @@ struct Simulator::ParEngine {
       apply_op(w, rec, wk.ops[oi]);
     }
     if (rec.has_obs) ++obs_span[rec.node].cursor;  // the change is now committed
+    S.last_event_node_ = S.nodes_[rec.node].corrupt ? kNoNode : rec.node;
     if (S.post_event_hook_) S.post_event_hook_(S);
   }
 

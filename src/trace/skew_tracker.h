@@ -17,6 +17,43 @@
 /// supremum to within gamma * (inter-event gap) — negligible at the event
 /// densities of these protocols.
 ///
+/// Complete graph: an exact bounded-rate index. Between a node's own events
+/// its logical clock cannot rise faster than R or slower than r, where R is
+/// the largest (max hardware rate x max logical slope) and r the smallest
+/// (min hardware rate x min logical slope) over the honest fleet (see
+/// HardwareClock::max_rate, LogicalClock::max_slope). So a node read exactly
+/// at (t_i, v_i) reads at most v_i + R (t - t_i) and at least
+/// v_i + r (t - t_i) at any later t, and the keys v_i - R t_i and
+/// v_i - r t_i are time-invariant. A max-heap and a min-heap over these keys
+/// (the min side stored negated, so both are max-heaps) let a sample walk
+/// each heap best-first from the root, reading nodes exactly and stopping at
+/// the first node whose bound, plus an FP slack, cannot beat the best value
+/// read so far. The slack, 1e-9 x (1 + |key| + |R t|), covers the rounding
+/// of the reads and the key arithmetic (a few ulps of those magnitudes)
+/// with orders of magnitude to spare, as long as hardware readings are of
+/// the same order as logical ones. A pruned node therefore cannot hold
+/// the max or the min, and the extremes are bit-identical to a full scan:
+/// they are the same doubles, read through the same observe_logical call.
+/// Every node a sample reads is re-keyed with its exact value (the kinetic
+/// data structure idea of Basch/Guibas/Hershberger), which keeps the bounds
+/// tight where the extremes are.
+///
+/// Keys go stale only when a node's own event runs: protocols touch only
+/// their own clock, and a node's started flag and include predicate change
+/// only in its own events. The tracker re-keys the node named by
+/// Simulator::last_event_node() after each event, and re-reads the whole
+/// fleet (a rebuild) when it cannot trust the keys: on the first sample, on
+/// a corruption event (kAllNodes), when events_dispatched() advanced by more
+/// than one since the previous call (a tracker driven from a step loop
+/// rather than the hook), on the first complete-graph sample after a sparse
+/// one, and when a re-keyed node's rate bounds lie outside [r, R] (an
+/// amortized ramp steeper than any before it). The include predicate must
+/// therefore be node-local in the same sense; state changed outside events
+/// (e.g. through the non-const Simulator::logical) is not seen. Under the
+/// parallel engine a clock may already hold pieces from later in the
+/// window; their slopes can only widen [r, R], and observe_logical still
+/// returns the committed value, so the argument is unchanged.
+///
 /// Besides the global spread, the tracker measures *local skew* — the max
 /// clock difference over pairs of topology-adjacent nodes, the figure of
 /// merit of gradient clock synchronization (Kuhn/Lenzen/Locher/Oshman). The
@@ -25,11 +62,13 @@
 /// live at measurement time. On the complete topology (or with no topology)
 /// local skew equals the global spread, at no extra cost.
 ///
-/// The sparse pass is built to survive n = 10^6: per-node scratch is marked
-/// with a generation counter (no O(n) re-zeroing per sample), and the O(E)
-/// adjacent-pair rescan is skipped entirely — reusing the previous result
-/// bit-for-bit — when the sampled set, every sampled value, and the live
-/// graph are all unchanged since the last sample.
+/// Sparse graphs keep the plain full scan, because the local-skew pass needs
+/// every node's value anyway. That pass is built to survive n = 10^6:
+/// per-node scratch is marked with a generation counter (no O(n) re-zeroing
+/// per sample), and the O(E) adjacent-pair rescan is skipped entirely —
+/// reusing the previous result bit-for-bit — when the sampled set, every
+/// sampled value, and the live graph are all unchanged since the last
+/// sample.
 ///
 /// Past n = kLocalSkewPoolMaxN the per-node scratch itself would be the
 /// problem (16 bytes/node = 160 MB per tracker at 10^7), so the local-skew
@@ -97,7 +136,59 @@ class SkewTracker {
     return series_;
   }
 
+  /// Smallest and largest counted clock value at the last sample that had
+  /// any node to measure (the endpoints of its spread).
+  [[nodiscard]] std::pair<double, double> last_extremes() const { return {last_lo_, last_hi_}; }
+
+  /// Full re-reads of the fleet the complete-graph index has made (see the
+  /// rebuild triggers above); a hook-driven run makes a handful.
+  [[nodiscard]] std::uint64_t rebuilds() const { return rebuilds_; }
+
  private:
+  /// Indexed binary max-heap of node ids under per-node keys. The keyed
+  /// quantity is sign * value; `slope` bounds its rate, so a node keyed at
+  /// t_i reaches at most key + slope * t at any later t.
+  struct KeyHeap {
+    static constexpr std::uint32_t kAbsent = 0xffffffffu;
+    std::vector<NodeId> order;       ///< heap array, largest key first
+    std::vector<std::uint32_t> pos;  ///< per node: index into order, or kAbsent
+    std::vector<double> key;         ///< per node; meaningful while present
+    double sign = 1;
+    double slope = 0;
+
+    void reset(std::uint32_t n);
+    /// Inserts `id` or moves it to key `k`.
+    void set(NodeId id, double k);
+    void erase(NodeId id);
+
+   private:
+    void place(std::uint32_t i, NodeId id) {
+      order[i] = id;
+      pos[id] = i;
+    }
+    void sift_up(std::uint32_t i);
+    void sift_down(std::uint32_t i);
+  };
+
+  /// True iff node `id` counts toward the spread right now.
+  [[nodiscard]] bool counted(const Simulator& sim, NodeId id) const {
+    return sim.observe_started(id) && (include_ ? include_(id) : sim.observe_include(id));
+  }
+  /// Notes what the events since the previous call changed (every call).
+  void track_events(const Simulator& sim);
+  /// The sparse path: full scan plus local skew. False if no node counts.
+  bool sample_sparse(const Simulator& sim, const Topology& topology, RealTime t, double& lo,
+                     double& hi, double& local);
+  /// The complete-graph path through the index. False if no node counts.
+  bool sample_complete(const Simulator& sim, RealTime t, double& lo, double& hi);
+  bool rebuild(const Simulator& sim, RealTime t, double& lo, double& hi);
+  /// Node `id`'s value at t, read at most once per sample.
+  double read(const Simulator& sim, NodeId id, RealTime t);
+  /// Keys node `id` in both heaps by its value read at t.
+  void rekey(NodeId id, RealTime t);
+  /// Exact max over a non-empty `heap` of its keyed quantity at t.
+  double search(const Simulator& sim, const KeyHeap& heap, RealTime t);
+
   Duration series_interval_;
   std::function<bool(NodeId)> include_;
   RealTime steady_start_ = 0;
@@ -116,6 +207,8 @@ class SkewTracker {
   double local_skew_ = 0;
   double steady_local_skew_ = 0;
   RealTime max_skew_time_ = 0;
+  double last_lo_ = 0;
+  double last_hi_ = 0;
   RealTime last_series_sample_ = -1;
   std::vector<std::pair<RealTime, double>> series_;
 
@@ -135,6 +228,27 @@ class SkewTracker {
   double last_local_ = 0;
   const Topology* last_topology_ = nullptr;
   std::uint32_t last_sampled_count_ = 0;
+
+  /// Complete-graph index state (sized n on the first rebuild). upper_
+  /// keys v - R t, lower_ keys -(v - r t); both are max-heaps.
+  KeyHeap upper_;
+  KeyHeap lower_;
+  bool index_valid_ = false;
+  const Simulator* index_sim_ = nullptr;
+  std::uint64_t events_seen_ = 0;
+  std::uint64_t rebuilds_ = 0;
+  /// Nodes touched by events since the last sample, to re-key (deduplicated
+  /// by dirty_flag_).
+  std::vector<NodeId> dirty_;
+  std::vector<std::uint8_t> dirty_flag_;
+  /// Per-sample read cache: read_value_[id] is current iff
+  /// read_stamp_[id] == stamp_; read_ lists this sample's reads.
+  std::vector<double> read_value_;
+  std::vector<std::uint64_t> read_stamp_;
+  std::uint64_t stamp_ = 0;
+  std::vector<NodeId> read_;
+  /// Best-first search frontier: (key, heap index), a max-heap on key.
+  std::vector<std::pair<double, std::uint32_t>> frontier_;
 };
 
 }  // namespace stclock

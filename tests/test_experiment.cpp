@@ -295,5 +295,38 @@ TEST(Engine, LeaderCorruptForcesTheLie) {
   EXPECT_GT(r.envelope.max_rate, 1.05);
 }
 
+TEST(Engine, MetricRegimeIsReportedInTheResult) {
+  EXPECT_EQ(metric_regime(kScaleMetricThreshold - 1), MetricRegime::kExact);
+  EXPECT_EQ(metric_regime(kScaleMetricThreshold), MetricRegime::kDecimated);
+  EXPECT_EQ(metric_regime(1u << 20), MetricRegime::kDecimated);
+  EXPECT_EQ(metric_regime((1u << 20) + 1), MetricRegime::kPooled);
+
+  // n = 300 on the complete graph: exact, through the skew index, which
+  // re-reads the whole fleet only at its first sample.
+  ScenarioSpec dense = small_spec("auth");
+  dense.cfg.n = 300;
+  dense.cfg.f = 0;
+  dense.horizon = 1.5;
+  const ScenarioResult exact = run_scenario(dense);
+  EXPECT_EQ(exact.metric_regime, MetricRegime::kExact);
+  EXPECT_STREQ(metric_regime_name(exact.metric_regime), "exact");
+  EXPECT_EQ(exact.skew_rebuilds, 1u);
+  EXPECT_GT(exact.events_dispatched, 50000u);
+
+  // n = 4096 on an expander: decimated, and the sparse scan never builds
+  // the index.
+  ScenarioSpec sparse = small_spec("auth");
+  sparse.cfg.n = kScaleMetricThreshold;
+  sparse.cfg.f = 0;
+  sparse.horizon = 1.5;
+  sparse.topology = TopologyKind::kExpander;
+  sparse.broadcast_mode = BroadcastMode::kSampled;
+  sparse.sample_size = 8;
+  const ScenarioResult decimated = run_scenario(sparse);
+  EXPECT_EQ(decimated.metric_regime, MetricRegime::kDecimated);
+  EXPECT_STREQ(metric_regime_name(decimated.metric_regime), "decimated");
+  EXPECT_EQ(decimated.skew_rebuilds, 0u);
+}
+
 }  // namespace
 }  // namespace stclock::experiment

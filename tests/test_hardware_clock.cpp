@@ -97,5 +97,18 @@ TEST(HardwareClock, DriftBoundCheck) {
   EXPECT_FALSE(fast.respects_drift_bound(0.01));
 }
 
+TEST(HardwareClock, RateRangeCoversEverySegment) {
+  HardwareClock clock(0.0, 1.0);
+  EXPECT_EQ(clock.min_rate(), 1.0);
+  EXPECT_EQ(clock.max_rate(), 1.0);
+  clock.set_rate_from(1.0, 1.3);
+  clock.set_rate_from(2.0, 0.8);
+  EXPECT_EQ(clock.min_rate(), 0.8);
+  EXPECT_EQ(clock.max_rate(), 1.3);
+  clock.set_rate_from(2.0, 1.1);  // replaces 0.8; the bounds stay valid
+  EXPECT_EQ(clock.min_rate(), 0.8);
+  EXPECT_EQ(clock.max_rate(), 1.3);
+}
+
 }  // namespace
 }  // namespace stclock

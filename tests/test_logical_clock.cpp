@@ -144,5 +144,20 @@ TEST(LogicalClock, ReadBeforeStartThrows) {
   EXPECT_THROW((void)clock.read_at_hardware(4.0), std::logic_error);
 }
 
+TEST(LogicalClock, SlopeRangeCoversEveryPieceEverAdded) {
+  HardwareClock hw(0.0, 1.0);
+  LogicalClock clock(hw);
+  EXPECT_EQ(clock.min_slope(), 1.0);
+  EXPECT_EQ(clock.max_slope(), 1.0);
+  clock.adjust_instant(1.0, 0.5);  // jumps keep the slope
+  EXPECT_EQ(clock.max_slope(), 1.0);
+  clock.adjust_amortized(2.0, -0.5, 2.0);  // slope 0.75 on the ramp
+  EXPECT_EQ(clock.min_slope(), 0.75);
+  clock.adjust_override(2.5, 1.0);  // drops the scheduled ramp end, slope 1
+  clock.adjust_amortized(3.0, 1.0, 2.0);  // slope 1.5 on the ramp
+  EXPECT_EQ(clock.min_slope(), 0.75);
+  EXPECT_EQ(clock.max_slope(), 1.5);
+}
+
 }  // namespace
 }  // namespace stclock

@@ -72,6 +72,33 @@ TEST(ParallelSim, RegistryWideBitIdenticalToSequential) {
   }
 }
 
+// The skew tracker's complete-graph index follows the parallel commit
+// replay event by event (Simulator::last_event_node is set for every
+// replayed record), so a complete-graph golden run re-reads the fleet as
+// rarely in parallel as sequentially — at its first sample only — and its
+// bytes stay equal.
+TEST(ParallelSim, CompleteGraphSkewIndexStaysIncremental) {
+  const std::vector<ScenarioSpec> specs = parallel_corpus();
+  std::size_t checked = 0;
+  for (const ScenarioSpec& spec : specs) {
+    if (spec.topology != TopologyKind::kComplete || !spec.topology_events.empty() ||
+        has_adversary_object(spec) || !spec.corrupt_at.empty()) {
+      continue;
+    }
+    const ScenarioResult seq = run_with_threads(spec, 1);
+    ASSERT_EQ(seq.skew_rebuilds, 1u);
+    for (const std::uint32_t threads : {2u, 4u}) {
+      const ScenarioResult par = run_with_threads(spec, threads);
+      EXPECT_GT(par.parallel_windows, 0u);
+      EXPECT_EQ(par.skew_rebuilds, seq.skew_rebuilds)
+          << spec.protocol << " seed " << spec.seed << " at sim_threads=" << threads;
+      EXPECT_EQ(resultstore::encode_result(par), resultstore::encode_result(seq));
+    }
+    ++checked;
+  }
+  EXPECT_GE(checked, 1u);
+}
+
 // The corruption + churn + sampled-broadcast combination in one run: the
 // three workloads with the most engine-side mutable state (purge scans,
 // restart timers, the dedicated broadcast RNG stream) interacting.

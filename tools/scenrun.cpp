@@ -176,7 +176,9 @@ int main(int argc, char** argv) {
                   << " epochs=" << results[i].topology_epochs
                   << " messages=" << results[i].messages_sent
                   << " dropped=" << results[i].messages_dropped
-                  << " stab=" << results[i].stabilization_time << "\n";
+                  << " stab=" << results[i].stabilization_time
+                  << " metrics=" << experiment::metric_regime_name(results[i].metric_regime)
+                  << "\n";
       }
     }
     return 0;
