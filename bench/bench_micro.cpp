@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "clocks/drift_models.h"
 #include "clocks/logical_clock.h"
@@ -64,6 +65,36 @@ void BM_VerifyRoundMessage(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(registry.verify(sig, payload));
 }
 BENCHMARK(BM_VerifyRoundMessage);
+
+// A payload the signer's memo does not hold on every iteration: the cost of
+// the first verification of a (signer, payload), i.e. of computing one MAC.
+void BM_VerifyRoundMessage_Miss(benchmark::State& state) {
+  const crypto::KeyRegistry registry(16, 1);
+  constexpr std::size_t kPayloads = 1024;  // far more than the memo's two slots
+  std::vector<Bytes> payloads;
+  std::vector<crypto::Signature> sigs;
+  for (Round k = 0; k < kPayloads; ++k) {
+    payloads.push_back(round_signing_payload(k));
+    sigs.push_back(registry.signer_for(3).sign(payloads.back()));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(registry.verify(sigs[i], payloads[i]));
+    i = (i + 1) % kPayloads;
+  }
+}
+BENCHMARK(BM_VerifyRoundMessage_Miss);
+
+// The forge-burst path: one forged MAC for a (signer, payload) checked over
+// and over, as every recipient of a forging adversary's bundle does.
+void BM_VerifyForged(benchmark::State& state) {
+  const crypto::KeyRegistry registry(16, 1);
+  const Bytes payload = round_signing_payload(42);
+  crypto::Signature forged = registry.signer_for(3).sign(payload);
+  forged.mac[0] ^= 0x01;
+  for (auto _ : state) benchmark::DoNotOptimize(registry.verify(forged, payload));
+}
+BENCHMARK(BM_VerifyForged);
 
 void BM_EventQueuePushPop(benchmark::State& state) {
   EventQueue q;

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Perf trajectory runner: builds bench_micro in Release and runs the tracked
-# hot-path benchmarks (broadcast fan-out, event-queue churn, counters, and
-# the BM_Sweep_Grid8 end-to-end sweep), appending the result as one labelled
-# point to BENCH_core.json.
+# hot-path benchmarks (broadcast fan-out, event-queue churn, counters, the
+# BM_Sweep_Grid8 end-to-end sweep, and the HMAC / signature-verify memo-hit,
+# memo-miss and forged paths), appending the result as one labelled point to
+# BENCH_core.json.
 #
 # Usage: scripts/bench.sh [--smoke] [--scale] [--label NAME] [build-dir]
 #   --smoke   1-iteration run to a temp file (CI bit-rot guard; does NOT
@@ -98,7 +99,7 @@ EOF
   exit 0
 fi
 
-FILTER='BM_Broadcast_N64|BM_Broadcast_N256|BM_Broadcast_N4096|BM_Broadcast_N65536|BM_TopoSwitch_Epochs|BM_EventQueue_Churn|BM_Counters|BM_Sweep_Grid8|BM_CellFingerprint|BM_StoreLookup'
+FILTER='BM_Broadcast_N64|BM_Broadcast_N256|BM_Broadcast_N4096|BM_Broadcast_N65536|BM_TopoSwitch_Epochs|BM_EventQueue_Churn|BM_Counters|BM_Sweep_Grid8|BM_CellFingerprint|BM_StoreLookup|BM_HmacSha256|BM_VerifyRoundMessage|BM_VerifyRoundMessage_Miss|BM_VerifyForged'
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j --target bench_micro

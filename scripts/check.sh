@@ -39,7 +39,9 @@
 #            run the suites that exercise the parallel engine's worker pool
 #            (parallel_sim, simulator, event_queue, counters) plus trace,
 #            whose skew tracker reads per-event simulator state during the
-#            parallel commit replay; any data-race report fails the gate.
+#            parallel commit replay, and signature, whose KeyRegistry memo
+#            the workers share (4 threads signing and verifying on one
+#            registry); any data-race report fails the gate.
 #
 # Uses a separate build directory so the strict flags never pollute an
 # incremental developer build.
@@ -56,7 +58,7 @@ RUN_TSAN=0
 BUILD_DIR="build-check"
 for arg in "$@"; do
   case "$arg" in
-    -h|--help) sed -n 's/^# \{0,1\}//p' "$0" | sed -n '2,46p'; exit 0 ;;
+    -h|--help) sed -n 's/^# \{0,1\}//p' "$0" | sed -n '2,48p'; exit 0 ;;
     --bench) RUN_BENCH=1 ;;
     --scen) RUN_SCEN=1 ;;
     --store) RUN_STORE=1 ;;
@@ -274,18 +276,20 @@ fi
 
 if [[ "$RUN_TSAN" -eq 1 ]]; then
   # TSan watches the worker pool's actual interleavings, so run only the
-  # suites that spin it up (plus the queue/counter structures it shares and
-  # the trackers that read simulator state mid-replay); the full tree under
-  # TSan would multiply CI time for no extra coverage.
+  # suites that spin it up (plus the queue/counter structures it shares, the
+  # trackers that read simulator state mid-replay, and the signature memo
+  # behind its striped mutexes); the full tree under TSan would multiply CI
+  # time for no extra coverage.
   TSAN_FLAGS="-fsanitize=thread -g -O1 -fno-omit-frame-pointer"
   cmake -B "$BUILD_DIR-tsan" -S . \
     -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build "$BUILD_DIR-tsan" -j \
-    --target test_parallel_sim test_simulator test_event_queue test_counters test_trace
+    --target test_parallel_sim test_simulator test_event_queue test_counters test_trace \
+    test_signature
   ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure \
-    -R '^(test_parallel_sim|test_simulator|test_event_queue|test_counters|test_trace)$'
+    -R '^(test_parallel_sim|test_simulator|test_event_queue|test_counters|test_trace|test_signature)$'
   echo "check.sh: tsan suite OK"
 fi
 echo "check.sh: all green"

@@ -31,6 +31,17 @@ Sha256::Sha256()
     : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
 
+Sha256::Sha256(const State& state, std::uint64_t blocks) : state_(state) {
+  // FIPS 180-4 padding stores the message length in bits as a 64-bit value.
+  ST_REQUIRE(blocks < (std::uint64_t{1} << 55), "Sha256: resumed block count overflows");
+  total_bits_ = blocks * 512;
+}
+
+const Sha256::State& Sha256::midstate() const {
+  ST_REQUIRE(!finished_ && buffered_ == 0, "Sha256: midstate off a block boundary");
+  return state_;
+}
+
 void Sha256::process_block(const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {

@@ -18,7 +18,15 @@ using Digest = std::array<std::uint8_t, kDigestSize>;
 /// Incremental hasher: update() any number of times, then finish().
 class Sha256 {
  public:
+  /// The eight-word chaining value between 64-byte blocks.
+  using State = std::array<std::uint32_t, 8>;
+
   Sha256();
+
+  /// Resumes a hash whose first `blocks` 64-byte blocks left the chaining
+  /// value `state` (see midstate()). HMAC uses this to hash its fixed
+  /// ipad/opad key block once per key instead of once per message.
+  Sha256(const State& state, std::uint64_t blocks);
 
   void update(std::span<const std::uint8_t> data);
   void update(std::string_view s);
@@ -26,10 +34,14 @@ class Sha256 {
   /// Finalizes and returns the digest; the hasher must not be reused after.
   [[nodiscard]] Digest finish();
 
+  /// The chaining value so far. Only defined at a block boundary (the bytes
+  /// fed are a multiple of 64), and only before finish().
+  [[nodiscard]] const State& midstate() const;
+
  private:
   void process_block(const std::uint8_t* block);
 
-  std::array<std::uint32_t, 8> state_;
+  State state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffered_ = 0;
   std::uint64_t total_bits_ = 0;

@@ -79,5 +79,33 @@ TEST(Sha256, ReuseAfterFinishThrows) {
   EXPECT_THROW((void)h.finish(), std::logic_error);
 }
 
+TEST(Sha256, ResumedFromMidstateMatchesUninterrupted) {
+  // Save the chaining value after 1, 2 and 3 whole blocks, resume a fresh
+  // hasher from it, and feed the rest: the digest must not notice. Tails
+  // cover the in-block padding, the spill to an extra block, and several
+  // further blocks.
+  std::string msg;
+  for (int i = 0; i < 400; ++i) msg.push_back(static_cast<char>('a' + i % 26));
+  for (std::size_t blocks = 1; blocks <= 3; ++blocks) {
+    for (std::size_t tail : {0, 1, 55, 56, 64, 200}) {
+      const std::string_view whole = std::string_view(msg).substr(0, 64 * blocks + tail);
+      Sha256 prefix;
+      prefix.update(whole.substr(0, 64 * blocks));
+      Sha256 resumed(prefix.midstate(), blocks);
+      resumed.update(whole.substr(64 * blocks));
+      EXPECT_EQ(resumed.finish(), sha256(whole)) << blocks << " blocks + " << tail;
+    }
+  }
+}
+
+TEST(Sha256, MidstateOffBlockBoundaryThrows) {
+  Sha256 h;
+  h.update(std::string(65, 'x'));
+  EXPECT_THROW((void)h.midstate(), std::logic_error);
+  Sha256 at_boundary;
+  at_boundary.update(std::string(64, 'x'));
+  EXPECT_NO_THROW((void)at_boundary.midstate());
+}
+
 }  // namespace
 }  // namespace stclock::crypto
