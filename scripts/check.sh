@@ -30,8 +30,11 @@
 #            workers diffed byte-identical against the unsharded run, a
 #            bench_scale ring cell with its per-cell budget enforced, the
 #            n=65536 expander auth grid (neighbors + sampled fan-out,
-#            sharded + byte-diffed), and the sparse-fabric acceptance cell
-#            (auth n=1e5, expander k=16, sampled m=8, 120 s budget).
+#            sharded + byte-diffed), the sparse-fabric acceptance cell
+#            (auth n=1e5, expander k=16, sampled m=8, 120 s budget), and the
+#            soak cell (auth n=4096, expander k=8, sampled m=8, 500 rounds)
+#            under a wall and a peak-RSS budget: per-node memory that grows
+#            with run length breaks the RSS budget several times over.
 #   --asan   additionally build the tree under ASan+UBSan (its own build
 #            directory, <build-dir>-asan) and run the tier-1 ctest suite in
 #            it; any sanitizer report fails the gate.
@@ -58,7 +61,7 @@ RUN_TSAN=0
 BUILD_DIR="build-check"
 for arg in "$@"; do
   case "$arg" in
-    -h|--help) sed -n 's/^# \{0,1\}//p' "$0" | sed -n '2,48p'; exit 0 ;;
+    -h|--help) sed -n 's/^# \{0,1\}//p' "$0" | sed -n '2,51p'; exit 0 ;;
     --bench) RUN_BENCH=1 ;;
     --scen) RUN_SCEN=1 ;;
     --store) RUN_STORE=1 ;;
@@ -248,6 +251,17 @@ if [[ "$RUN_SCALE" -eq 1 ]]; then
     --mode sampled --sample 8 --n 100000 --horizon 5 --budget 120 \
     || { echo "check.sh: sampled expander auth n=1e5 blew its 120 s budget" >&2; exit 1; }
   echo "check.sh: scale smoke OK: auth n=1e5 sampled expander in budget"
+
+  # The soak cell: 500 rounds at n=4096. Node clocks are trimmed to a few
+  # segments and pieces, so only the 16 B/pulse log and the timer table grow
+  # with the run. The budgets are the measured 19-27 s / 73 MB (4-CPU host,
+  # this build type) plus 15%; full clock histories and per-node pulse maps
+  # peaked at 282 MB (37 s) here.
+  "$BUILD_DIR/bench_scale" --protocol auth --topology expander --expander-k 8 \
+    --mode sampled --sample 8 --n 4096 --horizon 500 --delay half \
+    --budget 31 --rss-budget 84 \
+    || { echo "check.sh: soak cell n=4096 x 500 rounds blew its budget" >&2; exit 1; }
+  echo "check.sh: scale smoke OK: soak cell n=4096 x 500 rounds in budget"
 
   # The parallel engine at scale: the same acceptance cell at sim_threads=8
   # with delay=half (the positive-min_delay policy that gives the engine its

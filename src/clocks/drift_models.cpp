@@ -17,14 +17,12 @@ HardwareClock random_walk(Rng& rng, double rho, LocalTime max_initial, RealTime 
                           Duration switch_mean) {
   ST_REQUIRE(rho >= 0, "random_walk: rho must be non-negative");
   ST_REQUIRE(switch_mean > 0, "random_walk: switch_mean must be positive");
-  const double lo = 1.0 / (1.0 + rho);
-  const double hi = 1.0 + rho;
-  HardwareClock clock(rng.uniform(0.0, max_initial), rng.uniform(lo, hi));
-  RealTime t = rng.exponential(switch_mean);
-  while (t < horizon) {
-    clock.set_rate_from(t, rng.uniform(lo, hi));
-    t += rng.exponential(switch_mean);
-  }
+  const RateWalk walk{1.0 / (1.0 + rho), 1.0 + rho, switch_mean, horizon};
+  // The rate is drawn before the initial value: the order every trajectory
+  // generated so far used, kept so seeded runs stay bit-identical.
+  const double rate = rng.uniform(walk.lo, walk.hi);
+  const LocalTime initial = rng.uniform(0.0, max_initial);
+  HardwareClock clock(initial, rate, walk, rng);
   ST_ENSURE(clock.respects_drift_bound(rho), "random_walk: drift bound violated");
   return clock;
 }

@@ -23,7 +23,9 @@ namespace stclock::drift {
 
 /// Rate re-drawn uniformly within the drift bound at exponentially
 /// distributed intervals (mean `switch_mean`) until `horizon`. Models an
-/// oscillator wandering within spec.
+/// oscillator wandering within spec. The segments are generated on demand
+/// from a saved copy of `rng`; `rng` itself advances past every draw of the
+/// trajectory, so the next clock drawn from it is unaffected.
 [[nodiscard]] HardwareClock random_walk(Rng& rng, double rho, LocalTime max_initial,
                                         RealTime horizon, Duration switch_mean);
 

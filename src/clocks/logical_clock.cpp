@@ -7,13 +7,17 @@
 
 namespace stclock {
 
-LogicalClock::LogicalClock(const HardwareClock& hw) : hw_(&hw) {
-  const LocalTime h0 = hw.initial_value();
-  pieces_.push_back(Piece{h0, h0, 1.0});
+LogicalClock::LogicalClock(const HardwareClock& hw) : hw_(&hw), h_floor_(hw.initial_value()) {
+  // Set-up-time room for a trimmed window, as for the hardware segments.
+  pieces_.reserve(kWindowReserve);
+  pieces_.push_back(Piece{h_floor_, h_floor_, 1.0});
 }
 
 std::size_t LogicalClock::piece_at(LocalTime h) const {
-  ST_REQUIRE(h >= pieces_.front().h_start, "LogicalClock: hardware time precedes clock start");
+  ST_REQUIRE(h >= h_floor_, "LogicalClock: hardware time precedes clock start (or the trim floor)");
+  // Reads cluster at the newest piece; otherwise the last piece with
+  // h_start <= h (the front one always qualifies, as h >= h_floor_).
+  if (pieces_.back().h_start <= h) return pieces_.size() - 1;
   auto it = std::upper_bound(pieces_.begin(), pieces_.end(), h,
                              [](LocalTime v, const Piece& p) { return v < p.h_start; });
   return static_cast<std::size_t>(std::distance(pieces_.begin(), it)) - 1;
@@ -62,8 +66,7 @@ void LogicalClock::adjust_amortized(LocalTime h_now, Duration delta, Duration wi
 }
 
 void LogicalClock::adjust_override(LocalTime h_now, Duration delta) {
-  ST_REQUIRE(h_now >= pieces_.front().h_start,
-             "LogicalClock: override precedes clock start");
+  ST_REQUIRE(h_now >= h_floor_, "LogicalClock: override precedes clock start (or the trim floor)");
   // The value "now" is read against the pieces live at h_now BEFORE any
   // scheduled-future pieces are dropped, so the override lands relative to
   // what the clock actually reads at this instant.
@@ -105,6 +108,21 @@ RealTime LogicalClock::when_reads(RealTime now, LocalTime target) const {
 double LogicalClock::rate_at(RealTime t) const {
   const LocalTime h = hw_->read(t);
   return pieces_[piece_at(h)].slope * hw_->rate_at(t);
+}
+
+void LogicalClock::forget_before(RealTime t) {
+  const LocalTime h = hw_->read(t);
+  if (h <= h_floor_) return;
+  h_floor_ = h;
+  // Scan from the front, as for the hardware clock: at most a piece or two
+  // (a finished ramp) ends before h.
+  std::size_t k = 0;
+  while (k + 1 < pieces_.size() && pieces_[k + 1].h_start <= h) ++k;
+  if (k > 0) pieces_.erase(pieces_.begin(), pieces_.begin() + static_cast<std::ptrdiff_t>(k));
+}
+
+std::size_t LogicalClock::memory_bytes() const {
+  return sizeof(*this) + pieces_.capacity() * sizeof(Piece);
 }
 
 }  // namespace stclock

@@ -19,8 +19,15 @@
 ///    logical clock slightly faster/slower, yielding a continuous, monotone
 ///    clock (the standard smoothing technique the paper refers to).
 ///
-/// All adjustments must be appended in increasing hardware time; the class
-/// records the full history so experiments can audit every correction.
+/// All adjustments must be appended in increasing hardware time. The clock
+/// keeps its pieces until the owner sets a trim floor: forget_before(t)
+/// drops every piece that ends at or before hardware time H(t). Afterwards
+/// reads, when_reads and rate_at at real times >= t are bit-identical to the
+/// untrimmed clock, adjustments behave exactly as on it (an amortized ramp
+/// in flight across the floor included), and earlier reads fail their
+/// precondition. Only the simulator trims — per node, with the oldest time
+/// any reader can still query — so a clock used directly keeps its full
+/// history, and the correction totals below always cover every adjustment.
 namespace stclock {
 
 class LogicalClock {
@@ -78,6 +85,15 @@ class LogicalClock {
   /// Largest single |delta|.
   [[nodiscard]] Duration max_abs_adjustment() const { return max_abs_adjustment_; }
 
+  /// Raises the trim floor to real time t (a lower t is a no-op): pieces
+  /// that end at or before hardware time H(t) are released. Reads the
+  /// hardware clock at t, so its own floor must not be past t.
+  void forget_before(RealTime t);
+
+  /// Bytes this clock holds: the object plus its piece buffer (the hardware
+  /// clock it reads is not included).
+  [[nodiscard]] std::size_t memory_bytes() const;
+
  private:
   struct Piece {
     LocalTime h_start;   // hardware time where this piece begins
@@ -85,12 +101,18 @@ class LogicalClock {
     double slope;        // dL/dh within the piece
   };
 
+  /// Pieces reserved up front: a trimmed window (a ramp and the piece
+  /// after it, plus a correction or two) rarely holds more.
+  static constexpr std::size_t kWindowReserve = 4;
+
   [[nodiscard]] std::size_t piece_at(LocalTime h) const;
   void push_piece(const Piece& piece);
   void record(Duration delta);
 
+  // The read path's state first, to share a cache line.
   const HardwareClock* hw_;
   std::vector<Piece> pieces_;
+  LocalTime h_floor_;  // hardware time of the trim floor (initial value if untrimmed)
   double min_slope_ = 1.0;
   double max_slope_ = 1.0;
   Duration total_adjustment_ = 0;

@@ -14,10 +14,37 @@ namespace stclock::experiment {
 
 namespace {
 
+/// Pulse real times per node: a flat append-only (round, time) record, 16 B
+/// per pulse — the one per-node record that grows with run length.
 struct PulseLog {
-  // pulse real times per node, indexed by round.
-  std::vector<std::map<Round, RealTime>> by_node;
+  std::vector<std::vector<std::pair<Round, RealTime>>> by_node;
   std::vector<RealTime> first_pulse;  // -1 until seen
+
+  void record(NodeId node, Round round, RealTime t) {
+    by_node[node].emplace_back(round, t);
+    if (first_pulse[node] < 0) first_pulse[node] = t;
+  }
+
+  /// Orders every node's record by round, the last write for a round
+  /// winning (a corrupted clock can pulse a round again): the view a
+  /// round-keyed map overwritten in pulse order would give.
+  void finalize() {
+    const auto by_round = [](const auto& a, const auto& b) { return a.first < b.first; };
+    for (auto& log : by_node) {
+      if (!std::is_sorted(log.begin(), log.end(), by_round)) {
+        std::stable_sort(log.begin(), log.end(), by_round);
+      }
+      auto out = log.begin();
+      for (const auto& pulse : log) {
+        if (out != log.begin() && std::prev(out)->first == pulse.first) {
+          *std::prev(out) = pulse;
+        } else {
+          *out++ = pulse;
+        }
+      }
+      log.erase(out, log.end());
+    }
+  }
 };
 
 /// Pulse / liveness / joiner metrics, collected only for kSyncProtocol
@@ -413,7 +440,7 @@ ScenarioResult run_scenario_with(const ScenarioSpec& spec, EngineMode mode,
 
   // The per-node pulse log only feeds sync-mode metrics (precision between
   // simultaneous rounds, liveness, joiner integration); baselines never
-  // pulse, so at scale the empty vectors would still cost O(n) maps.
+  // pulse, so at scale the empty logs would still cost O(n) vectors.
   PulseLog pulses;
   if (sync_mode) {
     pulses.by_node.resize(cfg.n);
@@ -432,8 +459,7 @@ ScenarioResult run_scenario_with(const ScenarioSpec& spec, EngineMode mode,
                  "run_scenario: kSyncProtocol factories must build SyncProtocol instances");
       protocols[id] = sync;
       sync->set_pulse_observer([&pulses, &sim](NodeId node, Round round) {
-        pulses.by_node[node][round] = sim.now();
-        if (pulses.first_pulse[node] < 0) pulses.first_pulse[node] = sim.now();
+        pulses.record(node, round, sim.now());
       });
       if (joining) sim.set_start_time(id, spec.join_time);
     }
@@ -454,8 +480,7 @@ ScenarioResult run_scenario_with(const ScenarioSpec& spec, EngineMode mode,
                      "run_scenario: churn factories must build SyncProtocol instances");
           protocols[id] = sync;
           sync->set_pulse_observer([&pulses, &sim](NodeId node, Round round) {
-            pulses.by_node[node][round] = sim.now();
-            if (pulses.first_pulse[node] < 0) pulses.first_pulse[node] = sim.now();
+            pulses.record(node, round, sim.now());
           });
           return process;
         });
@@ -522,6 +547,7 @@ ScenarioResult run_scenario_with(const ScenarioSpec& spec, EngineMode mode,
   result.skew_series = skew.series();
 
   if (sync_mode) {
+    pulses.finalize();
     collect_pulse_metrics(spec, pulses, protocols, honest_count, first_joiner, result);
 
     // The envelope fit needs a few samples past the convergence prefix.
@@ -543,6 +569,11 @@ ScenarioResult run_scenario_with(const ScenarioSpec& spec, EngineMode mode,
   result.nodes_corrupted = sim.nodes_corrupted();
   result.parallel_windows = sim.parallel_windows();
   result.skew_rebuilds = skew.rebuilds();
+  for (NodeId id = 0; id < cfg.n; ++id) {
+    result.max_node_clock_bytes =
+        std::max<std::uint64_t>(result.max_node_clock_bytes,
+                                sim.hardware(id).memory_bytes() + sim.logical(id).memory_bytes());
+  }
   if (!spec.corrupt_at.empty()) {
     result.stabilized = skew.stabilized();
     result.stabilization_time = skew.stabilization_time();

@@ -265,6 +265,12 @@ struct ScenarioResult {
   /// (SkewTracker::rebuilds): a handful when it tracked events
   /// incrementally. Outside the codec as well.
   std::uint64_t skew_rebuilds = 0;
+  /// Largest per-node clock footprint at the end of the run, hardware plus
+  /// logical clock memory_bytes() (buffer capacities, so it also bounds the
+  /// peak): the node-clock row of the bytes ledger. With the simulator's
+  /// trim floor it does not grow with the horizon. Outside the codec; 0 on
+  /// a result-store hit.
+  std::uint64_t max_node_clock_bytes = 0;
 };
 
 /// Builds one honest protocol instance. `joining` is true for late joiners

@@ -264,9 +264,21 @@ void Simulator::run_until(RealTime horizon) {
     ST_ASSERT(ev.time >= now_, "Simulator: time went backwards");
     now_ = ev.time;
     dispatch(ev);
+    if (last_event_node_ < params_.n) trim_clocks(last_event_node_, now_);
     if (post_event_hook_) post_event_hook_(*this);
   }
   now_ = std::max(now_, horizon);
+}
+
+void Simulator::trim_clocks(NodeId id, RealTime floor) {
+  Node& node = nodes_[id];
+  // A node's events cluster around its round's pulse, and most never read a
+  // clock. Trimming at most once per tdel still keeps the history a few
+  // entries long, without a cache miss on both clock buffers per event.
+  if (floor < node.trim_due) return;
+  node.trim_due = floor + params_.tdel;
+  node.hw->forget_before(floor);
+  node.logical->forget_before(floor);
 }
 
 void Simulator::dispatch(const Event& ev) {

@@ -250,6 +250,8 @@ class Simulator {
     /// time are dropped on arrival (-1 = never; the corruption-free path
     /// costs one always-false compare).
     RealTime purge_before = -1;
+    /// Earliest time trim_clocks next releases this node's clock history.
+    RealTime trim_due = 0;
     /// Hardware ticker interval (0 = no ticker; see Context::start_ticker).
     Duration ticker_interval = 0;
     /// States of this node's parallel-allocated timers (see kParTimerBit):
@@ -286,6 +288,14 @@ class Simulator {
   };
 
   void dispatch(const Event& ev);
+  /// Releases node `id`'s clock history before real time `floor`, the
+  /// oldest time any reader can still query it at: `now` in the sequential
+  /// engine (time only moves forward), the window start in a parallel
+  /// window (the commit replay reads every node at event times inside the
+  /// window). Called for the node of each dispatched event and acting at
+  /// most once per tdel per node, so per-node clock state stays a few
+  /// segments and pieces however long the run.
+  void trim_clocks(NodeId id, RealTime floor);
 
   // Context plumbing.
   /// Unicast entry point: checks the topology link (off-graph sends drop).

@@ -172,6 +172,7 @@ struct Simulator::ParEngine {
   std::vector<ReplayEntry> replay_heap;
   RealTime window_bound = 0;    ///< exclusive local-execution bound (W, or the barrier time)
   RealTime window_horizon = 0;  ///< run_until horizon (events never execute past it)
+  RealTime window_start = 0;    ///< earliest event time of the window: its clock trim floor
 
   std::vector<std::thread> threads;
   std::mutex mu;
@@ -263,6 +264,7 @@ struct Simulator::ParEngine {
       return;
     }
     window_horizon = horizon;
+    window_start = t0;
 
     bool have_barrier = false;
     Event barrier_ev;
@@ -367,6 +369,9 @@ struct Simulator::ParEngine {
   /// children tie-break by spawn rank, which equals their commit seq order.
   void run_node(std::uint32_t w, NodeId v) {
     Worker& wk = workers[w];
+    // Only v's owner touches v's clocks during the window, and the commit
+    // replay reads them at event times >= window_start after the barrier.
+    sim->trim_clocks(v, window_start);
     const auto obs_begin = static_cast<std::uint32_t>(wk.obs.size());
     wk.heap.clear();
     const auto heap_after = [](const HeapEntry& a, const HeapEntry& b) {

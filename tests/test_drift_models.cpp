@@ -1,9 +1,78 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "clocks/drift_models.h"
 
 namespace stclock {
 namespace {
+
+/// The eager random-walk generator random_walk replaced, kept as the
+/// reference trajectory: every segment up to the horizon built up front,
+/// the rate drawn before the initial value. Counts the switches that land
+/// on the previous switch's own instant (set_rate_from's replace path).
+HardwareClock eager_random_walk(Rng& rng, double rho, LocalTime max_initial, RealTime horizon,
+                                Duration switch_mean, int& replaced) {
+  const double lo = 1.0 / (1.0 + rho);
+  const double hi = 1.0 + rho;
+  const double rate = rng.uniform(lo, hi);
+  const LocalTime initial = rng.uniform(0.0, max_initial);
+  HardwareClock clock(initial, rate);
+  RealTime last = 0;
+  RealTime t = rng.exponential(switch_mean);
+  while (t < horizon) {
+    if (t == last) ++replaced;
+    clock.set_rate_from(t, rng.uniform(lo, hi));
+    last = t;
+    t += rng.exponential(switch_mean);
+  }
+  return clock;
+}
+
+TEST(DriftModels, LazyRandomWalkIsBitIdenticalToTheEagerOne) {
+  struct Params {
+    double rho;
+    LocalTime max_initial;
+    RealTime horizon;
+    Duration switch_mean;
+  };
+  const std::vector<Params> params = {
+      {1e-4, 0.005, 101.0, 1.0},
+      {0.05, 0.5, 30.0, 0.1},
+      {0.2, 0.0, 8.0, 3.0},  // often no switch at all before the horizon
+      // Switch gaps of a few subnormal units round to zero about one time
+      // in ten, so switches land on the previous one's instant and replace
+      // its rate instead of appending.
+      {0.01, 0.0, 1e-320, 2e-323},
+  };
+  int replaced = 0;
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    const Params& p = params[seed % params.size()];
+    Rng eager_rng(seed), lazy_rng(seed);
+    const HardwareClock eager =
+        eager_random_walk(eager_rng, p.rho, p.max_initial, p.horizon, p.switch_mean, replaced);
+    const HardwareClock lazy =
+        drift::random_walk(lazy_rng, p.rho, p.max_initial, p.horizon, p.switch_mean);
+    ASSERT_EQ(eager_rng.next_u64(), lazy_rng.next_u64()) << "seed " << seed;
+    EXPECT_EQ(eager.min_rate(), lazy.min_rate()) << "seed " << seed;
+    EXPECT_EQ(eager.max_rate(), lazy.max_rate()) << "seed " << seed;
+    EXPECT_EQ(eager.initial_value(), lazy.initial_value()) << "seed " << seed;
+
+    // Queries in random order, past the horizon too: generation on demand
+    // must not depend on which query came first.
+    Rng probe(seed ^ 0xabcdefULL);
+    for (int i = 0; i < 200; ++i) {
+      const RealTime t = probe.uniform(0.0, 1.25 * p.horizon);
+      ASSERT_EQ(eager.read(t), lazy.read(t)) << "seed " << seed << " t " << t;
+      ASSERT_EQ(eager.rate_at(t), lazy.rate_at(t)) << "seed " << seed << " t " << t;
+      const LocalTime local = eager.read(t);
+      ASSERT_EQ(eager.when_reads(local), lazy.when_reads(local)) << "seed " << seed;
+      const LocalTime other = eager.read(probe.uniform(0.0, 1.25 * p.horizon));
+      ASSERT_EQ(eager.when_reads(other), lazy.when_reads(other)) << "seed " << seed;
+    }
+  }
+  EXPECT_GT(replaced, 0) << "the equal-time replace path never ran";
+}
 
 TEST(DriftModels, RandomConstantWithinBounds) {
   Rng rng(1);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "clocks/drift_models.h"
 #include "clocks/hardware_clock.h"
 
 namespace stclock {
@@ -108,6 +109,55 @@ TEST(HardwareClock, RateRangeCoversEverySegment) {
   clock.set_rate_from(2.0, 1.1);  // replaces 0.8; the bounds stay valid
   EXPECT_EQ(clock.min_rate(), 0.8);
   EXPECT_EQ(clock.max_rate(), 1.3);
+}
+
+/// Checks a trimmed clock against its untrimmed twin at and after `floor`.
+void expect_matches_after(const HardwareClock& trimmed, const HardwareClock& twin,
+                          RealTime floor, RealTime until) {
+  for (RealTime t = floor; t <= until; t += (until - floor) / 97) {
+    ASSERT_EQ(trimmed.read(t), twin.read(t)) << "t = " << t;
+    ASSERT_EQ(trimmed.rate_at(t), twin.rate_at(t)) << "t = " << t;
+    ASSERT_EQ(trimmed.when_reads(twin.read(t)), twin.when_reads(twin.read(t))) << "t = " << t;
+  }
+  ASSERT_EQ(trimmed.read(floor), twin.read(floor));
+  ASSERT_EQ(trimmed.when_reads(twin.read(floor)), twin.when_reads(twin.read(floor)));
+}
+
+TEST(HardwareClock, TrimFloorKeepsLaterReadsBitIdentical) {
+  HardwareClock twin(2.0, 1.5);
+  for (int k = 1; k <= 40; ++k) twin.set_rate_from(0.5 * k, k % 2 == 0 ? 0.9 : 1.1);
+  HardwareClock trimmed = twin;
+  for (const RealTime floor : {0.0, 0.25, 0.5, 3.7, 3.7, 10.0, 19.99, 25.0}) {
+    trimmed.forget_before(floor);
+    expect_matches_after(trimmed, twin, floor, 30.0);
+    EXPECT_EQ(trimmed.initial_value(), 2.0);
+    EXPECT_EQ(trimmed.min_rate(), twin.min_rate());
+    EXPECT_EQ(trimmed.max_rate(), twin.max_rate());
+  }
+  // Reads before the floor fail their precondition, in real and local time.
+  EXPECT_THROW((void)trimmed.read(24.9), std::logic_error);
+  EXPECT_THROW((void)trimmed.rate_at(24.9), std::logic_error);
+  EXPECT_THROW((void)trimmed.when_reads(twin.read(24.9)), std::logic_error);
+  // A lower floor is a no-op, and appending still works after a trim.
+  trimmed.forget_before(1.0);
+  EXPECT_EQ(trimmed.read(25.0), twin.read(25.0));
+  twin.set_rate_from(40.0, 1.2);
+  trimmed.set_rate_from(40.0, 1.2);
+  expect_matches_after(trimmed, twin, 25.0, 50.0);
+}
+
+TEST(HardwareClock, TrimFloorOnALazyRandomWalk) {
+  Rng rng(7);
+  const HardwareClock twin = drift::random_walk(rng, 0.05, 0.3, 200.0, 0.5);
+  HardwareClock trimmed = twin;
+  for (RealTime floor = 0.0; floor < 210.0; floor += 13.3) {
+    trimmed.forget_before(floor);
+    expect_matches_after(trimmed, twin, floor, floor + 20.0);
+    EXPECT_EQ(trimmed.initial_value(), twin.initial_value());
+  }
+  EXPECT_THROW((void)trimmed.read(0.0), std::logic_error);
+  // The trimmed walk holds a window, the twin everything it generated.
+  EXPECT_LT(trimmed.memory_bytes(), twin.memory_bytes());
 }
 
 }  // namespace

@@ -159,5 +159,86 @@ TEST(LogicalClock, SlopeRangeCoversEveryPieceEverAdded) {
   EXPECT_EQ(clock.max_slope(), 1.5);
 }
 
+/// A logical clock, its hardware clock, and an identical untrimmed twin
+/// that receives the same adjustments.
+struct TrimPair {
+  HardwareClock hw{0.5, 1.0};
+  HardwareClock twin_hw{0.5, 1.0};
+  LogicalClock clock{hw};
+  LogicalClock twin{twin_hw};
+
+  TrimPair() {
+    for (int k = 1; k <= 20; ++k) {
+      hw.set_rate_from(1.0 * k, k % 2 == 0 ? 0.99 : 1.01);
+      twin_hw.set_rate_from(1.0 * k, k % 2 == 0 ? 0.99 : 1.01);
+    }
+  }
+
+  /// Trims the pair's clocks at real time t, as the simulator does.
+  void forget_before(RealTime t) {
+    hw.forget_before(t);
+    clock.forget_before(t);
+  }
+
+  void expect_equal_from(RealTime from, RealTime until) const {
+    for (RealTime t = from; t <= until; t += (until - from) / 61) {
+      ASSERT_EQ(clock.read(t), twin.read(t)) << "t = " << t;
+      ASSERT_EQ(clock.rate_at(t), twin.rate_at(t)) << "t = " << t;
+      const LocalTime target = twin.read(t) + 0.3;
+      ASSERT_EQ(clock.when_reads(from, target), twin.when_reads(from, target)) << "t = " << t;
+    }
+  }
+};
+
+TEST(LogicalClock, TrimFloorKeepsLaterReadsBitIdentical) {
+  TrimPair p;
+  for (LogicalClock* c : {&p.clock, &p.twin}) {
+    c->adjust_instant(c->hardware().read(1.5), 0.25);
+    c->adjust_instant(c->hardware().read(2.5), -0.1);
+    c->adjust_amortized(c->hardware().read(3.0), 0.4, 2.0);
+  }
+  const LocalTime initial = p.clock.hardware().initial_value();
+  // Floors before, inside and after the amortized ramp (real time 3 to ~5).
+  for (const RealTime floor : {1.0, 2.7, 3.5, 4.2, 4.2, 6.0}) {
+    p.forget_before(floor);
+    p.expect_equal_from(floor, 12.0);
+    EXPECT_EQ(p.clock.hardware().initial_value(), initial);
+  }
+  EXPECT_THROW((void)p.clock.read(5.9), std::logic_error);
+  EXPECT_THROW((void)p.clock.read_at_hardware(p.twin_hw.read(5.9)), std::logic_error);
+  EXPECT_EQ(p.clock.total_adjustment(), p.twin.total_adjustment());
+  EXPECT_EQ(p.clock.adjustment_count(), p.twin.adjustment_count());
+  EXPECT_EQ(p.clock.min_slope(), p.twin.min_slope());
+  EXPECT_EQ(p.clock.max_slope(), p.twin.max_slope());
+}
+
+TEST(LogicalClock, RampAndOverrideAcrossTheTrimFloor) {
+  TrimPair p;
+  for (LogicalClock* c : {&p.clock, &p.twin}) {
+    c->adjust_amortized(c->hardware().read(2.0), -0.3, 3.0);
+  }
+  // The floor lands mid-ramp; the ramp keeps running on the trimmed clock.
+  p.forget_before(3.0);
+  p.expect_equal_from(3.0, 9.0);
+  // An override mid-ramp drops the rest of the ramp on both clocks alike.
+  for (LogicalClock* c : {&p.clock, &p.twin}) {
+    c->adjust_override(c->hardware().read(4.0), 0.7);
+  }
+  p.expect_equal_from(4.0, 12.0);
+  // A fresh ramp and an instant correction after it, across another floor.
+  for (LogicalClock* c : {&p.clock, &p.twin}) {
+    c->adjust_amortized(c->hardware().read(6.0), 0.2, 1.5);
+  }
+  p.forget_before(6.5);
+  p.expect_equal_from(6.5, 14.0);
+  for (LogicalClock* c : {&p.clock, &p.twin}) {
+    c->adjust_instant(c->hardware().read(9.0), -0.05);
+  }
+  p.forget_before(9.0);
+  p.expect_equal_from(9.0, 18.0);
+  // An override may not reach behind the floor.
+  EXPECT_THROW(p.clock.adjust_override(p.twin_hw.read(8.0), 0.1), std::logic_error);
+}
+
 }  // namespace
 }  // namespace stclock

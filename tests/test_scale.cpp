@@ -2,6 +2,7 @@
 
 #include <cstdint>
 
+#include "experiment/scenario.h"
 #include "sim/topology.h"
 
 /// Scale guarantees of the sparse-first topology representation. The old
@@ -86,6 +87,33 @@ TEST(TopologyScale, GnpBelowTheFastPathThresholdKeepsTheLegacyMapping) {
   const Topology topo = Topology::gnp(16, 0.4, 9);
   EXPECT_EQ(topo.edge_count(), 53u);
   EXPECT_EQ(topo.neighbor_list(0), (std::vector<NodeId>{1, 2, 3, 9, 13}));
+}
+
+TEST(ClockScale, PerNodeClockBytesDoNotGrowWithTheHorizon) {
+  // Every round adds a drift segment and a correction per node; the
+  // simulator's trim floor must release them, so a 100x longer run keeps
+  // the same per-node clock footprint. Full histories grow about 100x here.
+  const auto clock_bytes = [](RealTime horizon) {
+    experiment::ScenarioSpec spec;
+    spec.protocol = "auth";
+    spec.cfg.n = 256;
+    spec.cfg.rho = 1e-4;
+    spec.cfg.period = 1.0;
+    spec.topology = TopologyKind::kExpander;
+    spec.expander_k = 8;
+    spec.broadcast_mode = BroadcastMode::kSampled;
+    spec.sample_size = 8;
+    spec.delay = DelayKind::kHalf;
+    spec.horizon = horizon;
+    const experiment::ScenarioResult r = experiment::run_scenario(spec);
+    EXPECT_TRUE(r.live) << "horizon " << horizon;
+    return static_cast<double>(r.max_node_clock_bytes);
+  };
+  const double short_run = clock_bytes(5);
+  const double long_run = clock_bytes(500);
+  EXPECT_GT(short_run, 0.0);
+  EXPECT_LE(long_run, 1.1 * short_run) << short_run << " -> " << long_run << " bytes";
+  EXPECT_GE(long_run, short_run / 1.1) << short_run << " -> " << long_run << " bytes";
 }
 
 }  // namespace
