@@ -56,7 +56,6 @@ struct Options {
   double horizon = 5.0;
   double budget = 0;      // wall-seconds per cell; 0 = unenforced
   long rss_budget = 0;    // peak-RSS MB per cell; 0 = unenforced
-  std::uint32_t sim_threads = 1;
   std::string delay = "uniform";
   std::uint64_t seed = 1;
   std::string json_path;  // append ndjson rows here when non-empty
@@ -89,8 +88,6 @@ Options parse(int argc, char** argv) {
       opts.budget = std::strtod(argv[++i], nullptr);
     } else if (arg == "--rss-budget" && has_value) {
       opts.rss_budget = std::strtol(argv[++i], nullptr, 10);
-    } else if (arg == "--sim-threads" && has_value) {
-      opts.sim_threads = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--delay" && has_value) {
       opts.delay = argv[++i];
     } else if (arg == "--seed" && has_value) {
@@ -100,7 +97,7 @@ Options parse(int argc, char** argv) {
           "usage: bench_scale [--n N]... [--topology ring|torus|gnp|expander|complete] "
           "[--protocol NAME] [--mode full|neighbors|sampled] [--sample M] "
           "[--expander-k K] [--gnp-p P] [--horizon H] [--budget SECONDS] "
-          "[--rss-budget MB] [--sim-threads T] [--delay uniform|half|max] [--seed S] "
+          "[--rss-budget MB] [--delay uniform|half|max] [--seed S] "
           "[--json FILE]\n");
       std::exit(0);
     } else {
@@ -119,13 +116,11 @@ int main(int argc, char** argv) {
   using namespace stclock;
   const Options opts = parse(argc, argv);
 
-  std::printf("# protocol=%s topology=%s mode=%s delay=%s threads=%u horizon=%.2f seed=%llu\n",
+  std::printf("# protocol=%s topology=%s mode=%s delay=%s horizon=%.2f seed=%llu\n",
               opts.protocol.c_str(), opts.topology.c_str(), opts.mode.c_str(),
-              opts.delay.c_str(), opts.sim_threads, opts.horizon,
-              static_cast<unsigned long long>(opts.seed));
-  std::printf("%10s %12s %12s %10s %10s %10s %12s %12s %8s %10s\n", "n", "events",
-              "messages", "msgs_rnd", "wall_s", "rss_mb", "max_skew", "local_skew", "windows",
-              "metrics");
+              opts.delay.c_str(), opts.horizon, static_cast<unsigned long long>(opts.seed));
+  std::printf("%10s %12s %12s %10s %10s %10s %12s %12s %10s\n", "n", "events", "messages",
+              "msgs_rnd", "wall_s", "rss_mb", "max_skew", "local_skew", "metrics");
 
   std::FILE* json = nullptr;
   if (!opts.json_path.empty()) {
@@ -152,7 +147,6 @@ int main(int argc, char** argv) {
     spec.gnp_p = opts.gnp_p;
     spec.topology_seed = opts.seed;
     spec.expander_k = opts.expander_k;
-    spec.sim_threads = opts.sim_threads;
     if (opts.delay == "uniform") {
       spec.delay = DelayKind::kUniform;
     } else if (opts.delay == "half") {
@@ -206,25 +200,22 @@ int main(int argc, char** argv) {
     const long rss = peak_rss_mb();
 
     const char* regime = experiment::metric_regime_name(r.metric_regime);
-    std::printf("%10u %12llu %12llu %10.3e %10.2f %10ld %12.3e %12.3e %8llu %10s\n", n,
+    std::printf("%10u %12llu %12llu %10.3e %10.2f %10ld %12.3e %12.3e %10s\n", n,
                 static_cast<unsigned long long>(r.events_dispatched),
                 static_cast<unsigned long long>(r.messages_sent), msgs_per_round, wall,
-                rss, r.max_skew, r.local_skew,
-                static_cast<unsigned long long>(r.parallel_windows), regime);
+                rss, r.max_skew, r.local_skew, regime);
     std::fflush(stdout);
     if (json != nullptr) {
       std::fprintf(json,
-                   "{\"name\": \"bench_scale/%s/%s/%s/n=%u/t=%u\", \"n\": %u, "
-                   "\"sim_threads\": %u, \"events\": %llu, \"messages\": %llu, "
+                   "{\"name\": \"bench_scale/%s/%s/%s/n=%u\", \"n\": %u, "
+                   "\"events\": %llu, \"messages\": %llu, "
                    "\"msgs_per_round\": %.1f, \"wall_s\": %.3f, \"rss_mb\": %ld, "
-                   "\"max_skew\": %.6e, \"local_skew\": %.6e, \"parallel_windows\": %llu, "
+                   "\"max_skew\": %.6e, \"local_skew\": %.6e, "
                    "\"metric_regime\": \"%s\"}\n",
-                   opts.protocol.c_str(), opts.topology.c_str(), opts.mode.c_str(), n,
-                   opts.sim_threads, n, opts.sim_threads,
+                   opts.protocol.c_str(), opts.topology.c_str(), opts.mode.c_str(), n, n,
                    static_cast<unsigned long long>(r.events_dispatched),
                    static_cast<unsigned long long>(r.messages_sent), msgs_per_round, wall,
-                   rss, r.max_skew, r.local_skew,
-                   static_cast<unsigned long long>(r.parallel_windows), regime);
+                   rss, r.max_skew, r.local_skew, regime);
       std::fflush(json);
     }
     if (opts.budget > 0 && wall > opts.budget) {

@@ -55,18 +55,9 @@ if [[ "$SCALE" -eq 1 ]]; then
     --mode sampled --sample 8 --n 1000 --n 4096 --n 100000 --horizon 5 \
     --budget 120 --json "$ROWS"
 
-  # Thread-scaling curve for the lookahead-windowed parallel engine: the same
-  # million-node sampled-expander cell at 1/2/4/8 worker threads, delay=half
-  # (the registry's positive-min_delay policy, which is what gives the engine
-  # its window). Every cell's metrics are bit-identical to the sequential row;
-  # only wall time may move. NOTE the curve is only meaningful on multicore
-  # hardware — on a single-CPU container the parallel rows measure pure
-  # engine overhead (read host.num_cpus next to the point before judging it).
-  for T in 1 2 4 8; do
-    "$BUILD_DIR/bench_scale" --protocol auth --topology expander --expander-k 8 \
-      --mode sampled --sample 8 --n 1000000 --horizon 5 --delay half \
-      --sim-threads "$T" --json "$ROWS"
-  done
+  # The million-node ladder cell: expander(8), sampled(8), delay=half.
+  "$BUILD_DIR/bench_scale" --protocol auth --topology expander --expander-k 8 \
+    --mode sampled --sample 8 --n 1000000 --horizon 5 --delay half --json "$ROWS"
 
   # The 10^7 frontier smoke cell: one order of magnitude past the million-node
   # acceptance row, budget-enforced on both wall clock and peak RSS so a

@@ -39,12 +39,11 @@
 #            directory, <build-dir>-asan) and run the tier-1 ctest suite in
 #            it; any sanitizer report fails the gate.
 #   --tsan   additionally build under ThreadSanitizer (<build-dir>-tsan) and
-#            run the suites that exercise the parallel engine's worker pool
-#            (parallel_sim, simulator, event_queue, counters) plus trace,
-#            whose skew tracker reads per-event simulator state during the
-#            parallel commit replay, and signature, whose KeyRegistry memo
-#            the workers share (4 threads signing and verifying on one
-#            registry); any data-race report fails the gate.
+#            run the suites that start threads: signature (4 threads signing
+#            and verifying on one shared KeyRegistry memo), experiment and
+#            corruption (SweepRunner worker pools), and incremental,
+#            resultstore and scenfile (sweep pools, concurrent store
+#            writers); any data-race report fails the gate.
 #
 # Uses a separate build directory so the strict flags never pollute an
 # incremental developer build.
@@ -61,7 +60,7 @@ RUN_TSAN=0
 BUILD_DIR="build-check"
 for arg in "$@"; do
   case "$arg" in
-    -h|--help) sed -n 's/^# \{0,1\}//p' "$0" | sed -n '2,51p'; exit 0 ;;
+    -h|--help) sed -n 's/^# \{0,1\}//p' "$0" | sed -n '2,49p'; exit 0 ;;
     --bench) RUN_BENCH=1 ;;
     --scen) RUN_SCEN=1 ;;
     --store) RUN_STORE=1 ;;
@@ -262,17 +261,6 @@ if [[ "$RUN_SCALE" -eq 1 ]]; then
     --budget 31 --rss-budget 84 \
     || { echo "check.sh: soak cell n=4096 x 500 rounds blew its budget" >&2; exit 1; }
   echo "check.sh: scale smoke OK: soak cell n=4096 x 500 rounds in budget"
-
-  # The parallel engine at scale: the same acceptance cell at sim_threads=8
-  # with delay=half (the positive-min_delay policy that gives the engine its
-  # window). bench_scale prints the committed-window count; the test suite
-  # already pins bit-identity, so this cell guards "the parallel path still
-  # RUNS at n=1e5 under a budget" end to end.
-  "$BUILD_DIR/bench_scale" --protocol auth --topology expander --expander-k 16 \
-    --mode sampled --sample 8 --n 100000 --horizon 5 --delay half \
-    --sim-threads 8 --budget 240 \
-    || { echo "check.sh: parallel (sim_threads=8) n=1e5 cell failed its budget" >&2; exit 1; }
-  echo "check.sh: scale smoke OK: sim_threads=8 n=1e5 sampled expander in budget"
 fi
 
 if [[ "$RUN_ASAN" -eq 1 ]]; then
@@ -289,21 +277,21 @@ if [[ "$RUN_ASAN" -eq 1 ]]; then
 fi
 
 if [[ "$RUN_TSAN" -eq 1 ]]; then
-  # TSan watches the worker pool's actual interleavings, so run only the
-  # suites that spin it up (plus the queue/counter structures it shares, the
-  # trackers that read simulator state mid-replay, and the signature memo
-  # behind its striped mutexes); the full tree under TSan would multiply CI
-  # time for no extra coverage.
+  # The simulator itself is single-threaded; threads appear only in sweep
+  # pools (one simulator per worker), concurrent result-store writers, and
+  # test_signature's threads sharing one KeyRegistry memo behind its striped
+  # mutexes. Run just the suites that start them: the full tree under TSan
+  # would multiply CI time for no extra coverage.
   TSAN_FLAGS="-fsanitize=thread -g -O1 -fno-omit-frame-pointer"
   cmake -B "$BUILD_DIR-tsan" -S . \
     -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build "$BUILD_DIR-tsan" -j \
-    --target test_parallel_sim test_simulator test_event_queue test_counters test_trace \
-    test_signature
+    --target test_signature test_experiment test_corruption test_incremental \
+    test_resultstore test_scenfile
   ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure \
-    -R '^(test_parallel_sim|test_simulator|test_event_queue|test_counters|test_trace|test_signature)$'
+    -R '^(test_signature|test_experiment|test_corruption|test_incremental|test_resultstore|test_scenfile)$'
   echo "check.sh: tsan suite OK"
 fi
 echo "check.sh: all green"

@@ -46,8 +46,6 @@ Duration CutDelay::delay(NodeId from, NodeId to, RealTime now, Duration tdel, Rn
   return base_->delay(from, to, now, tdel, rng);
 }
 
-Duration CutDelay::min_delay(Duration tdel) const { return base_->min_delay(tdel); }
-
 void CutDelay::on_topology(const Topology& topo) {
   // Compile the cut as a topology schedule over the complete graph on the
   // fleet: full until the window opens, cross-cut links removed inside it,

@@ -58,9 +58,6 @@ class CutDelay : public DelayPolicy {
            std::unique_ptr<DelayPolicy> base);
   [[nodiscard]] Duration delay(NodeId from, NodeId to, RealTime now, Duration tdel,
                                Rng& rng) override;
-  /// The base policy's bound: a cut only ever *drops* messages (no event, so
-  /// nothing inside a lookahead window), and surviving traffic is delegated.
-  [[nodiscard]] Duration min_delay(Duration tdel) const override;
   /// Compiles the cut schedule (needs the fleet size) and forwards to the
   /// base policy. Must run before any delay() call — the simulator
   /// guarantees this for every run with a topology, which the scenario

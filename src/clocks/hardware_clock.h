@@ -20,9 +20,8 @@
 /// on demand from a saved random-walk stream (the RateWalk constructor):
 /// a read past the last generated segment draws the segments up to it, so a
 /// long run never holds its whole trajectory. Generation happens inside
-/// `const` reads; that is race-free because a clock is only ever touched by
-/// one thread at a time — the worker that owns its node during a parallel
-/// window, or the main thread between windows.
+/// `const` reads; that is race-free because a simulator, and so each of its
+/// clocks, is only ever touched by the one thread that runs it.
 ///
 /// Trim floor: forget_before(t) drops every segment that ends at or before
 /// real time t. Afterwards reads, inverses and rates at real times >= t (and

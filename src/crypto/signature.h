@@ -46,8 +46,9 @@
 ///    recomputing every MAC.
 ///  - Locking: signer s's memo entry is guarded by stripe s mod kStripes of
 ///    a fixed set of mutexes, held across the lookup and, on a miss, the MAC
-///    computation, so the parallel engine's workers may share one registry
-///    and a concurrent miss on one (signer, payload) is computed once.
+///    computation, so threads may share one registry and a concurrent miss
+///    on one (signer, payload) is computed once. (Each scenario run builds
+///    its own registry; the sharing is checked by a 4-thread test.)
 namespace stclock::crypto {
 
 struct Signature {

@@ -254,8 +254,6 @@ void validate_spec_structure(const ScenarioSpec& spec, EngineMode mode) {
     ST_REQUIRE(spec.sample_size >= 1,
                "run_scenario: broadcast_mode=sampled needs sample_size >= 1");
   }
-  ST_REQUIRE(spec.sim_threads >= 1 && spec.sim_threads <= 64,
-             "run_scenario: sim_threads must lie in [1, 64]");
   const std::uint32_t corrupt_count = corrupt_count_for(spec);
   ST_REQUIRE(corrupt_count + spec.joiners < cfg.n,
              "run_scenario: need at least one regular honest node");
@@ -384,7 +382,6 @@ ScenarioResult run_scenario_with(const ScenarioSpec& spec, EngineMode mode,
   params.schedule = topology.schedule;
   params.broadcast_mode = spec.broadcast_mode;
   params.sample_size = spec.sample_size;
-  params.sim_threads = spec.sim_threads;
   // The runaway-protocol valve, scaled to the run: a healthy protocol
   // dispatches O(fan-out) events per node per round, so give each
   // node-round 256 events before calling it runaway. The 50M floor keeps
@@ -496,15 +493,11 @@ ScenarioResult run_scenario_with(const ScenarioSpec& spec, EngineMode mode,
   result.metric_regime = metric_regime(cfg.n);
   const bool scale_mode = result.metric_regime != MetricRegime::kExact;
 
-  // The integration predicate goes through the simulator's include probe (not
-  // a tracker-private functor) so the parallel engine can answer it from the
-  // committed pre-state when a hook samples mid-window.
-  if (sync_mode) {
-    sim.set_include_probe([&protocols](NodeId id) {
-      return protocols[id] == nullptr || protocols[id]->integrated();
-    });
-  }
-  SkewTracker skew(spec.skew_series_interval, nullptr);
+  SkewTracker skew(spec.skew_series_interval,
+                   sync_mode ? std::function<bool(NodeId)>([&protocols](NodeId id) {
+                     return protocols[id] == nullptr || protocols[id]->integrated();
+                   })
+                             : nullptr);
   skew.set_steady_start(sync_mode ? 2 * result.bounds.max_period : 3 * cfg.period);
   // At scale, per-event O(n) sweeps dominate the run; decimate to half the
   // stepping granularity so every explicit step-loop sample still lands.
@@ -567,7 +560,6 @@ ScenarioResult run_scenario_with(const ScenarioSpec& spec, EngineMode mode,
   result.events_dispatched = sim.events_dispatched();
   result.corruption_events = sim.corruption_events_fired();
   result.nodes_corrupted = sim.nodes_corrupted();
-  result.parallel_windows = sim.parallel_windows();
   result.skew_rebuilds = skew.rebuilds();
   for (NodeId id = 0; id < cfg.n; ++id) {
     result.max_node_clock_bytes =

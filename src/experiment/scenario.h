@@ -178,15 +178,6 @@ struct ScenarioSpec {
   /// Metric sampling granularity.
   Duration skew_series_interval = 0.05;
   Duration envelope_interval = 0.1;
-
-  /// Worker threads for the simulator core (1..64). 1 — the default — keeps
-  /// the sequential engine; >= 2 turns on the lookahead-windowed parallel
-  /// engine, which is bit-identical in every metric and so deliberately NOT
-  /// part of the result cell key (a cached sequential result satisfies a
-  /// parallel request and vice versa). Requires a delay policy with positive
-  /// min_delay (delay=half/max); otherwise the run falls back to sequential
-  /// with a stderr notice.
-  std::uint32_t sim_threads = 1;
 };
 
 /// Superset of the legacy RunResult / BaselineResult. Fields that only make
@@ -252,14 +243,12 @@ struct ScenarioResult {
   std::uint64_t events_dispatched = 0;  ///< simulator events (timers + deliveries)
   std::uint64_t rounds_completed = 0;  ///< min over honest nodes of last round
 
-  /// Lookahead windows the parallel engine committed; 0 on the sequential
-  /// engine (or after a loud fallback). Execution diagnostic only: NOT part
-  /// of the resultstore codec, so a run's encoded bytes stay identical
-  /// whichever engine produced them.
+  /// Always 0: the simulator is sequential. Kept because perfbench's
+  /// e2e_runner prints it (reported as sim.parallel_windows); delete it at
+  /// the benchmark's next change. Outside the resultstore codec.
   std::uint64_t parallel_windows = 0;
-  /// The metric regime metric_regime(n) put the run in; like
-  /// parallel_windows, outside the resultstore codec (cache hits get it
-  /// recomputed from the spec).
+  /// The metric regime metric_regime(n) put the run in; outside the
+  /// resultstore codec (cache hits get it recomputed from the spec).
   MetricRegime metric_regime = MetricRegime::kExact;
   /// Full fleet re-reads of the skew tracker's complete-graph index
   /// (SkewTracker::rebuilds): a handful when it tracked events

@@ -8,12 +8,7 @@ namespace stclock::resultstore {
 
 std::string cell_key(const experiment::ScenarioSpec& spec, std::string_view engine_fp) {
   util::Digest d;
-  // sim_threads is an execution knob, not a scenario parameter: the parallel
-  // engine is bit-identical to the sequential one, so a cached result from
-  // either satisfies both. Pin it before serializing.
-  experiment::ScenarioSpec keyed = experiment::resolved_spec(spec);
-  keyed.sim_threads = 1;
-  d.update(scenfile::spec_to_json(keyed));
+  d.update(scenfile::spec_to_json(experiment::resolved_spec(spec)));
   d.update_u64(spec.seed);
   d.update(engine_fp);
   return d.hex();

@@ -377,11 +377,6 @@ bool apply_field(ScenarioSpec& spec, const std::string& field, const JsonValue& 
     spec.skew_series_interval = as_positive(v, source, path);
   } else if (field == "envelope_interval") {
     spec.envelope_interval = as_positive(v, source, path);
-  } else if (field == "sim_threads") {
-    spec.sim_threads = as_u32(v, source, path);
-    if (spec.sim_threads < 1 || spec.sim_threads > 64) {
-      fail_at(source, v.line, path, "sim_threads must lie in [1, 64], got " + v.raw);
-    }
   } else {
     return false;
   }
@@ -396,8 +391,7 @@ constexpr const char* kKnownFields =
     "joiners, join_time, "
     "corrupt_override, corrupt_at, corrupt_fraction, corrupt_kinds, "
     "churn_nodes, churn_leave, churn_rejoin, partition_group, "
-    "partition_start, partition_end, skew_series_interval, envelope_interval, "
-    "sim_threads";
+    "partition_start, partition_end, skew_series_interval, envelope_interval";
 
 /// Compact single-line re-serialization, used to label array-valued axis
 /// cells (e.g. a topology_events sweep) in sinks and summaries.
@@ -575,8 +569,7 @@ std::string spec_to_json(const ScenarioSpec& spec) {
   num("partition_start", fmt_double(spec.partition_start));
   num("partition_end", fmt_double(spec.partition_end));
   num("skew_series_interval", fmt_double(spec.skew_series_interval));
-  num("envelope_interval", fmt_double(spec.envelope_interval));
-  num("sim_threads", std::to_string(spec.sim_threads), /*last=*/true);
+  num("envelope_interval", fmt_double(spec.envelope_interval), /*last=*/true);
   os << "}\n";
   return os.str();
 }

@@ -263,12 +263,4 @@ Event EventQueue::pop() {
   return e;
 }
 
-bool EventQueue::pop_window(RealTime end_exclusive, RealTime horizon, Event& out) {
-  if (size_ == 0) return false;
-  const RealTime t = next_time();
-  if (t >= end_exclusive || t > horizon) return false;
-  out = pop();
-  return true;
-}
-
 }  // namespace stclock

@@ -92,21 +92,6 @@ class EventQueue {
   /// Removes and returns the earliest event. Requires !empty().
   [[nodiscard]] Event pop();
 
-  /// Window-bounded drain: pops the earliest event iff one exists with
-  /// time < end_exclusive and time <= horizon, else leaves the queue
-  /// untouched and returns false. The parallel simulator drains one
-  /// lookahead window [t, t + min_delay) with this, never consuming the
-  /// event that closes the window.
-  [[nodiscard]] bool pop_window(RealTime end_exclusive, RealTime horizon, Event& out);
-
-  /// Consumes one sequence number without pushing an event. The parallel
-  /// commit phase uses this for events it executed in place (same-window
-  /// self-deliveries and timers): the sequential engine would have pushed
-  /// and later popped them, so skipping the push must still advance the
-  /// tie-break counter for the (time, seq) order of every later push to
-  /// match the sequential run exactly.
-  [[nodiscard]] std::uint64_t take_seq() { return next_seq_++; }
-
  private:
   struct Entry {
     RealTime time = 0;

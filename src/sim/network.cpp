@@ -12,11 +12,6 @@ Duration FixedDelay::delay(NodeId, NodeId, RealTime, Duration tdel, Rng&) {
   return fraction_ * tdel;
 }
 
-Duration FixedDelay::min_delay(Duration tdel) const {
-  // The very expression delay() evaluates, so the bound is FP-exact.
-  return fraction_ * tdel;
-}
-
 UniformDelay::UniformDelay(double lo_fraction, double hi_fraction)
     : lo_(lo_fraction), hi_(hi_fraction) {
   ST_REQUIRE(lo_fraction >= 0 && hi_fraction <= 1 && lo_fraction <= hi_fraction,
@@ -25,13 +20,6 @@ UniformDelay::UniformDelay(double lo_fraction, double hi_fraction)
 
 Duration UniformDelay::delay(NodeId, NodeId, RealTime, Duration tdel, Rng& rng) {
   return rng.uniform(lo_ * tdel, hi_ * tdel);
-}
-
-Duration UniformDelay::min_delay(Duration tdel) const {
-  // rng.uniform(a, b) computes a + (b - a) * u with u in [0, 1); adding a
-  // non-negative rounded term to a never rounds below a, so every draw is
-  // >= lo_ * tdel exactly as doubles.
-  return lo_ * tdel;
 }
 
 LinkDelay::LinkDelay(double lo_fraction, double hi_fraction, std::uint64_t seed)
@@ -50,14 +38,6 @@ Duration LinkDelay::delay(NodeId from, NodeId to, RealTime, Duration tdel, Rng&)
   x ^= x >> 31;
   const double u = static_cast<double>(x >> 11) * 0x1.0p-53;
   return (lo_ + (hi_ - lo_) * u) * tdel;
-}
-
-Duration LinkDelay::min_delay(Duration tdel) const {
-  // delay() returns (lo_ + (hi_ - lo_) * u) * tdel with u in [0, 1): the
-  // inner sum rounds to >= lo_, and multiplying two non-negative doubles is
-  // monotone under round-to-nearest, so every link's fraction * tdel is
-  // >= lo_ * tdel exactly.
-  return lo_ * tdel;
 }
 
 }  // namespace stclock

@@ -37,14 +37,10 @@ class DelayPolicy {
   [[nodiscard]] virtual Duration delay(NodeId from, NodeId to, RealTime now, Duration tdel,
                                        Rng& rng) = 0;
 
-  /// Lower bound on every value delay() can return for the given tdel (drops
-  /// excluded — kDropMessage creates no event, so it cannot shrink the
-  /// causality window). This is the conservative-PDES lookahead contract: the
-  /// parallel simulator executes events inside [t, t + min_delay) on a worker
-  /// pool, relying on no cross-node interaction within the window. The bound
-  /// must be exact in floating point: for any delay d the policy returns,
-  /// d >= min_delay(tdel) as doubles. The default (0) is always sound and
-  /// simply disables parallel execution for the policy.
+  /// Lower bound on every value delay() can return for the given tdel. No
+  /// engine reads it: the simulator is sequential. Kept because perfbench's
+  /// traced runner overrides it in its timing wrapper; delete it with that
+  /// override at the benchmark's next change.
   [[nodiscard]] virtual Duration min_delay(Duration tdel) const {
     (void)tdel;
     return 0.0;
@@ -71,7 +67,6 @@ class FixedDelay final : public DelayPolicy {
  public:
   explicit FixedDelay(double fraction);
   [[nodiscard]] Duration delay(NodeId, NodeId, RealTime, Duration tdel, Rng&) override;
-  [[nodiscard]] Duration min_delay(Duration tdel) const override;
 
  private:
   double fraction_;
@@ -82,7 +77,6 @@ class UniformDelay final : public DelayPolicy {
  public:
   UniformDelay(double lo_fraction, double hi_fraction);
   [[nodiscard]] Duration delay(NodeId, NodeId, RealTime, Duration tdel, Rng& rng) override;
-  [[nodiscard]] Duration min_delay(Duration tdel) const override;
 
  private:
   double lo_, hi_;
@@ -98,7 +92,6 @@ class LinkDelay final : public DelayPolicy {
   LinkDelay(double lo_fraction, double hi_fraction, std::uint64_t seed);
   [[nodiscard]] Duration delay(NodeId from, NodeId to, RealTime, Duration tdel,
                                Rng&) override;
-  [[nodiscard]] Duration min_delay(Duration tdel) const override;
 
  private:
   double lo_, hi_;

@@ -18,26 +18,7 @@ std::shared_ptr<const Message> intern_message(const Message& m) {
   return std::allocate_shared<const Message>(util::ArenaAllocator<Message>{}, m);
 }
 
-/// Worker-thread marker for the parallel engine: while a worker executes a
-/// window, `now()` on that thread reports the executing event's time, so
-/// protocol handlers observe exactly the "now" they would sequentially.
-thread_local const Simulator* t_worker_sim = nullptr;
-thread_local RealTime t_worker_now = 0;
-
 }  // namespace
-
-RealTime Simulator::now() const { return t_worker_sim == this ? t_worker_now : now_; }
-
-bool Simulator::in_worker() const { return t_worker_sim == this; }
-
-void Simulator::tls_enter_worker() const {
-  t_worker_sim = this;
-  t_worker_now = 0;
-}
-
-void Simulator::tls_set_worker_now(RealTime t) const { t_worker_now = t; }
-
-void Simulator::tls_leave_worker() const { t_worker_sim = nullptr; }
 
 Simulator::Simulator(SimParams params, std::vector<HardwareClock> clocks,
                      std::unique_ptr<DelayPolicy> delays, const crypto::KeyRegistry* registry)
@@ -130,9 +111,6 @@ Simulator::Simulator(SimParams params, std::vector<HardwareClock> clocks,
   }
 }
 
-// ~Simulator lives in simulator_parallel.cpp, where ParEngine is complete
-// (the destructor joins the worker pool).
-
 void Simulator::set_process(NodeId id, std::unique_ptr<Process> process) {
   ST_REQUIRE(id < params_.n, "set_process: node id out of range");
   ST_REQUIRE(!started_, "set_process: simulation already started");
@@ -184,26 +162,6 @@ bool Simulator::is_corrupt(NodeId id) const {
   return nodes_[id].corrupt;
 }
 
-bool Simulator::is_started(NodeId id) const {
-  ST_REQUIRE(id < params_.n, "is_started: node id out of range");
-  return nodes_[id].started;
-}
-
-const HardwareClock& Simulator::hardware(NodeId id) const {
-  ST_REQUIRE(id < params_.n, "hardware: node id out of range");
-  return *nodes_[id].hw;
-}
-
-const LogicalClock& Simulator::logical(NodeId id) const {
-  ST_REQUIRE(id < params_.n, "logical: node id out of range");
-  return *nodes_[id].logical;
-}
-
-LogicalClock& Simulator::logical(NodeId id) {
-  ST_REQUIRE(id < params_.n, "logical: node id out of range");
-  return *nodes_[id].logical;
-}
-
 void Simulator::set_post_event_hook(std::function<void(const Simulator&)> hook) {
   post_event_hook_ = std::move(hook);
 }
@@ -250,13 +208,6 @@ void Simulator::run_until(RealTime horizon) {
     if (adversary_ != nullptr) adversary_->on_start(*adv_ctx_);
   }
 
-  if (!par_checked_) maybe_enable_parallel();
-  if (par_ != nullptr) {
-    run_parallel(horizon);
-    now_ = std::max(now_, horizon);
-    return;
-  }
-
   while (!queue_.empty() && queue_.next_time() <= horizon) {
     ST_REQUIRE(++events_dispatched_ <= params_.max_events,
                "Simulator: event budget exhausted (runaway protocol?)");
@@ -264,21 +215,21 @@ void Simulator::run_until(RealTime horizon) {
     ST_ASSERT(ev.time >= now_, "Simulator: time went backwards");
     now_ = ev.time;
     dispatch(ev);
-    if (last_event_node_ < params_.n) trim_clocks(last_event_node_, now_);
+    if (last_event_node_ < params_.n) trim_clocks(last_event_node_);
     if (post_event_hook_) post_event_hook_(*this);
   }
   now_ = std::max(now_, horizon);
 }
 
-void Simulator::trim_clocks(NodeId id, RealTime floor) {
+void Simulator::trim_clocks(NodeId id) {
   Node& node = nodes_[id];
   // A node's events cluster around its round's pulse, and most never read a
   // clock. Trimming at most once per tdel still keeps the history a few
   // entries long, without a cache miss on both clock buffers per event.
-  if (floor < node.trim_due) return;
-  node.trim_due = floor + params_.tdel;
-  node.hw->forget_before(floor);
-  node.logical->forget_before(floor);
+  if (now_ < node.trim_due) return;
+  node.trim_due = now_ + params_.tdel;
+  node.hw->forget_before(now_);
+  node.logical->forget_before(now_);
 }
 
 void Simulator::dispatch(const Event& ev) {
@@ -320,11 +271,6 @@ void Simulator::dispatch(const Event& ev) {
                timer_states_[t - 1] == TimerState::kArmedTick) &&
               timer_owners_[t - 1] == restart->node) {
             timer_states_[t - 1] = TimerState::kCancelled;
-          }
-        }
-        for (TimerState& st : node.par_timers) {
-          if (st == TimerState::kArmedProcess || st == TimerState::kArmedTick) {
-            st = TimerState::kCancelled;
           }
         }
         node.ticker_interval = 0;
@@ -395,10 +341,6 @@ void Simulator::dispatch(const Event& ev) {
 }
 
 void Simulator::honest_send(NodeId from, NodeId to, const Message& m) {
-  if (in_worker()) {
-    par_unicast(from, to, m);
-    return;
-  }
   // This overload is the unicast entry point (Context::send), so the link
   // check lives here: a send off the graph physically cannot be carried and
   // is lost like partitioned traffic. Broadcast traffic never needs the
@@ -450,7 +392,6 @@ void Simulator::adversary_send(NodeId from, NodeId to, std::shared_ptr<const Mes
 }
 
 TimerId Simulator::arm_timer(NodeId node, RealTime fire_at, TimerState kind) {
-  if (in_worker()) return par_arm_timer(node, fire_at, kind);
   const TimerId id = next_timer_id_++;
   timer_states_.push_back(kind);
   timer_owners_.push_back(node);
@@ -472,13 +413,6 @@ void Simulator::cancel_timer(TimerId id) {
 }
 
 Simulator::TimerState& Simulator::timer_state(TimerId id) {
-  if (id & kParTimerBit) {
-    const NodeId node = par_timer_node(id);
-    const std::size_t k = par_timer_index(id);
-    ST_REQUIRE(node < params_.n && k < nodes_[node].par_timers.size(),
-               "Simulator: unknown timer id");
-    return nodes_[node].par_timers[k];
-  }
   ST_REQUIRE(id >= 1 && id < next_timer_id_, "Simulator: unknown timer id");
   return timer_states_[static_cast<std::size_t>(id - 1)];
 }
@@ -490,7 +424,7 @@ void Simulator::start_ticker(NodeId id, Duration hw_interval) {
   ST_REQUIRE(!node.corrupt, "start_ticker: node is corrupted");
   ST_REQUIRE(node.ticker_interval == 0, "start_ticker: ticker already running");
   node.ticker_interval = hw_interval;
-  (void)arm_timer(id, node.hw->when_reads(node.hw->read(now()) + hw_interval),
+  (void)arm_timer(id, node.hw->when_reads(node.hw->read(now_) + hw_interval),
                   TimerState::kArmedTick);
 }
 
@@ -531,9 +465,6 @@ void Simulator::apply_corruption(std::size_t idx) {
           timer_states_[t - 1] = TimerState::kCancelled;
         }
       }
-      for (TimerState& st : node.par_timers) {
-        if (st == TimerState::kArmedProcess) st = TimerState::kCancelled;
-      }
     }
     if (ev.kinds & kCorruptBuffers) node.purge_before = now_;
     if (ev.kinds & kCorruptState) node.process->corrupt_state(*corrupt_rng_);
@@ -551,13 +482,6 @@ LocalTime Context::logical_now() const { return sim_->nodes_[id_].logical->read(
 LogicalClock& Context::logical() { return *sim_->nodes_[id_].logical; }
 
 void Context::broadcast(const Message& m) {
-  if (sim_->in_worker()) {
-    // Parallel window execution: the fan-out is buffered and replayed at
-    // commit, where delay draws (and sampled-mode peer draws) happen in the
-    // sequential engine's canonical order.
-    sim_->par_broadcast(id_, m);
-    return;
-  }
   // Intern the payload once for the whole fan-out: n refcount bumps instead
   // of n deep copies (a RoundMsg relay bundle carries Theta(n) signatures).
   const auto msg = intern_message(m);

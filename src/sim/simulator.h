@@ -16,6 +16,7 @@
 #include "sim/topology.h"
 #include "sim/topology_schedule.h"
 #include "trace/counters.h"
+#include "util/contracts.h"
 #include "util/rng.h"
 #include "util/types.h"
 
@@ -65,18 +66,6 @@ struct SimParams {
   /// Peers per broadcast under kSampled (>= 1 required then); ignored in the
   /// other modes.
   std::uint32_t sample_size = 0;
-  /// Worker threads for the lookahead-windowed parallel engine. 1 — the
-  /// default — is the sequential engine, bit-for-bit. Values > 1 execute
-  /// each window [t, t + lookahead) of events on a worker pool, where the
-  /// lookahead is the delay policy's min_delay(): events closer together
-  /// than the minimum message delay cannot causally interact across nodes,
-  /// and a deterministic commit phase replays buffered side effects in the
-  /// exact sequential (time, seq) order, so every metric is bit-identical
-  /// to sim_threads = 1. Runs that cannot parallelize (zero lookahead, or a
-  /// Byzantine adversary, whose deliveries to corrupted nodes are immediate
-  /// and so cross nodes within any window) fall back to the sequential
-  /// engine with a loud stderr note — never silently, never a deadlock.
-  std::uint32_t sim_threads = 1;
 };
 
 class Simulator {
@@ -85,7 +74,6 @@ class Simulator {
   /// authenticated variants) may be null when no protocol signs anything.
   Simulator(SimParams params, std::vector<HardwareClock> clocks,
             std::unique_ptr<DelayPolicy> delays, const crypto::KeyRegistry* registry);
-  ~Simulator();
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -119,48 +107,29 @@ class Simulator {
   void run_until(RealTime horizon);
 
   // --- Introspection (used by metrics, adversaries, and tests) ---
-  /// Current simulation time. Inside a parallel worker this is the executing
-  /// event's time for the calling thread (each node's handlers observe the
-  /// same "now" they would sequentially); everywhere else it is the global
-  /// clock, which the commit replay advances event by event.
-  [[nodiscard]] RealTime now() const;
+  /// Current simulation time: the time of the event being dispatched, or
+  /// the horizon of the last run_until once it returns.
+  [[nodiscard]] RealTime now() const { return now_; }
   [[nodiscard]] const SimParams& params() const { return params_; }
   [[nodiscard]] std::uint32_t n() const { return params_.n; }
   [[nodiscard]] bool is_corrupt(NodeId id) const;
   /// Honest node ids, ascending.
   [[nodiscard]] const std::vector<NodeId>& honest_ids() const { return honest_ids_; }
   /// True once node `id` has been started (relevant for late joiners).
-  [[nodiscard]] bool is_started(NodeId id) const;
+  [[nodiscard]] bool is_started(NodeId id) const {
+    ST_REQUIRE(id < params_.n, "is_started: node id out of range");
+    return nodes_[id].started;
+  }
 
-  // --- Tracker-facing observation API ---
-  // The trace layer (skew tracker, envelope) reads fleet state from the
-  // post-event hook. Sequentially these are plain live reads. During a
-  // parallel commit replay the workers have already executed the whole
-  // window, so a live read could see a node's *future*; these accessors
-  // instead return the value the node had at the replay point (the recorded
-  // pre-state of its first uncommitted change), keeping every hook
-  // observation bit-identical to the sequential schedule.
-  [[nodiscard]] bool observe_started(NodeId id) const {
-    return par_ == nullptr ? nodes_[id].started : observe_started_slow(id);
-  }
-  [[nodiscard]] LocalTime observe_logical(NodeId id, RealTime t) const {
-    return par_ == nullptr ? nodes_[id].logical->read(t) : observe_logical_slow(id, t);
-  }
-  /// The include predicate (set_include_probe) evaluated at the observation
-  /// point; true when no probe is installed.
-  [[nodiscard]] bool observe_include(NodeId id) const {
-    if (par_ != nullptr) return observe_include_slow(id);
-    return include_probe_ == nullptr || include_probe_(id);
-  }
-  /// Installs the predicate behind observe_include (the scenario engine uses
-  /// it for "protocol instance is integrated"). Must be node-local: in a
-  /// parallel run it is evaluated from the worker that owns the node.
+  /// A node filter for SkewTracker instances built without one of their
+  /// own: the tracker counts only nodes for which `probe` holds. Kept for
+  /// perfbench's traced runner, which installs its "protocol instance is
+  /// integrated" filter here; the scenario engine hands its filter to the
+  /// tracker directly. Null (the default) counts every started node.
   void set_include_probe(std::function<bool(NodeId)> probe);
-
-  /// Lookahead windows executed on the worker pool so far. Stays 0 for
-  /// sequential runs and for sim_threads > 1 runs that fell back; tests use
-  /// it to assert the parallel engine actually engaged.
-  [[nodiscard]] std::uint64_t parallel_windows() const { return parallel_windows_; }
+  [[nodiscard]] const std::function<bool(NodeId)>& include_probe() const {
+    return include_probe_;
+  }
 
   /// The base (epoch-0) network graph, or null for the implicit complete
   /// graph.
@@ -175,9 +144,18 @@ class Simulator {
   /// Index of the live epoch (0 until the first switch; static runs stay 0).
   [[nodiscard]] std::size_t topology_epoch() const { return epoch_; }
 
-  [[nodiscard]] const HardwareClock& hardware(NodeId id) const;
-  [[nodiscard]] const LogicalClock& logical(NodeId id) const;
-  [[nodiscard]] LogicalClock& logical(NodeId id);
+  [[nodiscard]] const HardwareClock& hardware(NodeId id) const {
+    ST_REQUIRE(id < params_.n, "hardware: node id out of range");
+    return *nodes_[id].hw;
+  }
+  [[nodiscard]] const LogicalClock& logical(NodeId id) const {
+    ST_REQUIRE(id < params_.n, "logical: node id out of range");
+    return *nodes_[id].logical;
+  }
+  [[nodiscard]] LogicalClock& logical(NodeId id) {
+    ST_REQUIRE(id < params_.n, "logical: node id out of range");
+    return *nodes_[id].logical;
+  }
 
   [[nodiscard]] const MessageCounters& counters() const { return counters_; }
   [[nodiscard]] MessageCounters& counters() { return counters_; }
@@ -193,7 +171,7 @@ class Simulator {
   /// timer's owner or the delivery's recipient, kNoNode or kAllNodes for
   /// fleet-wide events. Together with events_dispatched() this lets a
   /// post-event hook update per-node state incrementally instead of
-  /// re-reading the fleet. Both engines set it before the hook runs.
+  /// re-reading the fleet. It is set before the hook runs.
   [[nodiscard]] NodeId last_event_node() const { return last_event_node_; }
 
   /// Total events dispatched so far (timers + deliveries, cancelled timer
@@ -254,29 +232,7 @@ class Simulator {
     RealTime trim_due = 0;
     /// Hardware ticker interval (0 = no ticker; see Context::start_ticker).
     Duration ticker_interval = 0;
-    /// States of this node's parallel-allocated timers (see kParTimerBit):
-    /// workers cannot consume the global sequential id counter, so timers
-    /// armed inside a window get (node, index-in-this-table) ids instead.
-    /// Timer id VALUES therefore differ between the engines — they are
-    /// opaque handles and never surface in any metric. Always empty in
-    /// sequential runs.
-    std::vector<TimerState> par_timers;
   };
-
-  /// Parallel timer ids: top bit set, owner node in bits [32, 63), index
-  /// into the node's par_timers table below. Sequential ids never collide
-  /// (they stay far below 2^63).
-  static constexpr TimerId kParTimerBit = TimerId{1} << 63;
-  [[nodiscard]] static TimerId par_timer_id(NodeId node, std::size_t index) {
-    return kParTimerBit | (static_cast<TimerId>(node) << 32) |
-           static_cast<TimerId>(index);
-  }
-  [[nodiscard]] static NodeId par_timer_node(TimerId id) {
-    return static_cast<NodeId>((id >> 32) & 0x7fffffffu);
-  }
-  [[nodiscard]] static std::size_t par_timer_index(TimerId id) {
-    return static_cast<std::size_t>(id & 0xffffffffu);
-  }
 
   /// One scheduled churn restart (schedule_restart).
   struct Restart {
@@ -288,14 +244,12 @@ class Simulator {
   };
 
   void dispatch(const Event& ev);
-  /// Releases node `id`'s clock history before real time `floor`, the
-  /// oldest time any reader can still query it at: `now` in the sequential
-  /// engine (time only moves forward), the window start in a parallel
-  /// window (the commit replay reads every node at event times inside the
-  /// window). Called for the node of each dispatched event and acting at
-  /// most once per tdel per node, so per-node clock state stays a few
-  /// segments and pieces however long the run.
-  void trim_clocks(NodeId id, RealTime floor);
+  /// Releases node `id`'s clock history before `now_`, the oldest time any
+  /// reader can still query it at (time only moves forward). Called for the
+  /// node of each dispatched event and acting at most once per tdel per
+  /// node, so per-node clock state stays a few segments and pieces however
+  /// long the run.
+  void trim_clocks(NodeId id);
 
   // Context plumbing.
   /// Unicast entry point: checks the topology link (off-graph sends drop).
@@ -326,29 +280,6 @@ class Simulator {
   /// Fires corruption event `idx`: picks the victim subset with the
   /// dedicated corruption stream and scrambles each victim's memory.
   void apply_corruption(std::size_t idx);
-
-  // --- Parallel engine (simulator_parallel.cpp) ---
-  /// True on a worker thread currently executing this simulator's window.
-  [[nodiscard]] bool in_worker() const;
-  /// Decides once, at the first run_until, whether sim_threads > 1 can be
-  /// honored (positive lookahead, no adversary); falls back loudly if not.
-  void maybe_enable_parallel();
-  /// The parallel main loop: drains lookahead windows until the horizon.
-  void run_parallel(RealTime horizon);
-  // Worker-phase counterparts of the sequential side-effect entry points:
-  // they buffer ops into the owning worker instead of touching shared state.
-  void par_unicast(NodeId from, NodeId to, const Message& m);
-  void par_broadcast(NodeId from, const Message& m);
-  TimerId par_arm_timer(NodeId node, RealTime fire_at, TimerState kind);
-  // Slow paths of the observation API (parallel runs only).
-  [[nodiscard]] bool observe_started_slow(NodeId id) const;
-  [[nodiscard]] LocalTime observe_logical_slow(NodeId id, RealTime t) const;
-  [[nodiscard]] bool observe_include_slow(NodeId id) const;
-  // Thread-local worker marking (now() routes through it); const because
-  // only thread-local state moves.
-  void tls_enter_worker() const;
-  void tls_set_worker_now(RealTime t) const;
-  void tls_leave_worker() const;
 
   SimParams params_;
   /// Graph live right now (params_.topology until the first epoch switch);
@@ -409,19 +340,6 @@ class Simulator {
   MessageCounters counters_;
   std::function<void(const Simulator&)> post_event_hook_;
   std::function<bool(NodeId)> include_probe_;
-
-  /// Worker pool, per-window buffers, and commit-replay state. Created only
-  /// when the parallel engine actually engages, so par_ == nullptr doubles
-  /// as the sequential fast-path test in the observation API.
-  struct ParEngine;
-  /// Out-of-line deleter so every TU can destroy a Simulator (and its
-  /// members, on constructor-exception paths) without ParEngine's definition.
-  struct ParEngineDeleter {
-    void operator()(ParEngine* e) const;
-  };
-  std::unique_ptr<ParEngine, ParEngineDeleter> par_;
-  bool par_checked_ = false;
-  std::uint64_t parallel_windows_ = 0;
 };
 
 }  // namespace stclock

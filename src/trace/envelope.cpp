@@ -30,8 +30,8 @@ void EnvelopeTracker::sample(const Simulator& sim) {
     if (sums_.empty()) sums_.resize(pool_n);
     for (NodeId id : sim.honest_ids()) {
       if (id >= pool_n) break;  // honest_ids is ascending; pooled prefix only
-      if (!sim.observe_started(id)) continue;
-      const double c = sim.observe_logical(id, t);
+      if (!sim.is_started(id)) continue;
+      const double c = sim.logical(id).read(t);
       NodeSums& s = sums_[id];
       ++s.samples;
       if (t >= stream_steady_) {
@@ -49,9 +49,9 @@ void EnvelopeTracker::sample(const Simulator& sim) {
 
   if (series_.empty()) series_.resize(sim.n());
   for (NodeId id : sim.honest_ids()) {
-    if (!sim.observe_started(id)) continue;
+    if (!sim.is_started(id)) continue;
     series_[id].t.push_back(t);
-    series_[id].c.push_back(sim.observe_logical(id, t));
+    series_[id].c.push_back(sim.logical(id).read(t));
   }
 }
 

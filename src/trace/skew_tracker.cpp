@@ -96,10 +96,7 @@ void SkewTracker::track_events(const Simulator& sim) {
 
 double SkewTracker::read(const Simulator& sim, NodeId id, RealTime t) {
   if (read_stamp_[id] != stamp_) {
-    // observe_* rather than is_started/logical: mid-window under the parallel
-    // engine these report the committed pre-state, keeping hook-driven
-    // samples bit-identical to the sequential engine.
-    read_value_[id] = sim.observe_logical(id, t);
+    read_value_[id] = sim.logical(id).read(t);
     read_stamp_[id] = stamp_;
     read_.push_back(id);
   }
@@ -212,7 +209,7 @@ bool SkewTracker::sample_sparse(const Simulator& sim, const Topology& topology, 
   bool value_changed = false;  // a re-sampled node read a different value
   for (NodeId id : sim.honest_ids()) {
     if (!counted(sim, id)) continue;
-    const double c = sim.observe_logical(id, t);
+    const double c = sim.logical(id).read(t);
     if (id < pool_n_) {
       if (gen_[id] != prev_gen) {
         set_grew = true;

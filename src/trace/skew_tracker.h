@@ -33,7 +33,7 @@
 /// with orders of magnitude to spare, as long as hardware readings are of
 /// the same order as logical ones. A pruned node therefore cannot hold
 /// the max or the min, and the extremes are bit-identical to a full scan:
-/// they are the same doubles, read through the same observe_logical call.
+/// they are the same doubles, read through the same LogicalClock::read.
 /// Every node a sample reads is re-keyed with its exact value (the kinetic
 /// data structure idea of Basch/Guibas/Hershberger), which keeps the bounds
 /// tight where the extremes are.
@@ -49,10 +49,7 @@
 /// one, and when a re-keyed node's rate bounds lie outside [r, R] (an
 /// amortized ramp steeper than any before it). The include predicate must
 /// therefore be node-local in the same sense; state changed outside events
-/// (e.g. through the non-const Simulator::logical) is not seen. Under the
-/// parallel engine a clock may already hold pieces from later in the
-/// window; their slopes can only widen [r, R], and observe_logical still
-/// returns the committed value, so the argument is unchanged.
+/// (e.g. through the non-const Simulator::logical) is not seen.
 ///
 /// Besides the global spread, the tracker measures *local skew* — the max
 /// clock difference over pairs of topology-adjacent nodes, the figure of
@@ -86,7 +83,9 @@ class SkewTracker {
   /// comfortably above n = 10^6).
   static constexpr std::uint32_t kLocalSkewPoolMaxN = 1u << 20;
   /// `include` filters which nodes count (e.g. to exclude a joiner until it
-  /// has integrated); null means "all honest started nodes".
+  /// has integrated); null falls back to the simulator's include probe
+  /// (Simulator::set_include_probe, kept for perfbench's traced runner), and
+  /// with no probe either every honest started node counts.
   explicit SkewTracker(Duration series_interval = 0.05,
                        std::function<bool(NodeId)> include = nullptr);
 
@@ -172,7 +171,8 @@ class SkewTracker {
 
   /// True iff node `id` counts toward the spread right now.
   [[nodiscard]] bool counted(const Simulator& sim, NodeId id) const {
-    return sim.observe_started(id) && (include_ ? include_(id) : sim.observe_include(id));
+    const auto& include = include_ ? include_ : sim.include_probe();
+    return sim.is_started(id) && (include == nullptr || include(id));
   }
   /// Notes what the events since the previous call changed (every call).
   void track_events(const Simulator& sim);

@@ -176,6 +176,12 @@ TEST(GoldenTrace, MetricsAreBitIdenticalAcrossHotPathRefactor) {
       EXPECT_EQ(r.local_skew, e.local_skew);
       EXPECT_EQ(r.steady_local_skew, e.steady_local_skew);
     }
+    // On the complete graph the skew index stays incremental: the tracker
+    // reads the whole fleet once, at its first sample, and from then on
+    // re-keys only the node each event touched.
+    if (specs[i].topology == TopologyKind::kComplete) {
+      EXPECT_EQ(r.skew_rebuilds, 1u);
+    }
   }
 }
 

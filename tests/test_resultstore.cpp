@@ -189,16 +189,6 @@ TEST(CacheKey, EverySweepableInputChangesTheKey) {
   EXPECT_EQ(keys.size(), 7u);
 }
 
-// sim_threads is an execution knob, not a scenario input: the parallel
-// engine is bit-identical, so a cached sequential cell must hit for a
-// parallel request (and vice versa).
-TEST(CacheKey, SimThreadsDoesNotChangeTheKey) {
-  const ScenarioSpec base;
-  ScenarioSpec threaded = base;
-  threaded.sim_threads = 8;
-  EXPECT_EQ(cell_key(base), cell_key(threaded));
-}
-
 TEST(CacheKey, AliasProtocolsThatResolveIdenticallyShareAKey) {
   // "leader_corrupt" is registry sugar for "leader_corrupt" with the attack
   // forced; keying happens AFTER resolution, so requesting the resolved form

@@ -146,6 +146,14 @@ const BadCase kCorpus[] = {
     {"corrupt_kinds_duplicate_name",
      R"({"base": {"corrupt_at": 2.0, "corrupt_kinds": "timers,timers"}})",
      "duplicate corruption kind \"timers\""},
+    // --- the removed parallel-engine knob: a clear load error, with the file,
+    // the line and the field named, whether it is set or swept ---
+    {"sim_threads_base_field", R"({"base": {"n": 7,
+                  "sim_threads": 4}})",
+     "sim_threads_base_field:2: base.sim_threads: unknown field"},
+    {"sim_threads_sweep_axis", R"({"axes": [
+                  {"name": "sim_threads", "values": [4]}]})",
+     "sim_threads_sweep_axis:2: axes[0].name: unknown axis field \"sim_threads\""},
 };
 
 TEST(ScenfileErrors, EveryMalformedFileFailsWithADistinctFieldNamingError) {

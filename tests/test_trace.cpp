@@ -160,12 +160,11 @@ std::vector<HardwareClock> wild_clocks(std::uint32_t n) {
   return clocks;
 }
 
-SimParams differential_params(std::uint32_t n, std::uint32_t threads = 1) {
+SimParams differential_params(std::uint32_t n) {
   SimParams params;
   params.n = n;
   params.tdel = 0.01;
   params.seed = 7;
-  params.sim_threads = threads;
   return params;
 }
 
@@ -185,10 +184,11 @@ class Differential {
     if (tracker_.series().size() == measured) return;
     bool any = false;
     double lo = 0, hi = 0;
+    const auto& include = include_ ? include_ : sim.include_probe();
     for (NodeId id : sim.honest_ids()) {
-      if (!sim.observe_started(id)) continue;
-      if (include_ ? !include_(id) : !sim.observe_include(id)) continue;
-      const double c = sim.observe_logical(id, sim.now());
+      if (!sim.is_started(id)) continue;
+      if (include != nullptr && !include(id)) continue;
+      const double c = sim.logical(id).read(sim.now());
       lo = any ? std::min(lo, c) : c;
       hi = any ? std::max(hi, c) : c;
       any = true;
@@ -215,22 +215,16 @@ class Differential {
   std::uint64_t checked_ = 0;
 };
 
-TEST(SkewIndexDifferential, FleetOutsideRhoBothEngines) {
-  for (const std::uint32_t threads : {1u, 2u}) {
-    Simulator sim(differential_params(12, threads), wild_clocks(12),
-                  std::make_unique<UniformDelay>(0.002, 0.01), nullptr);
-    for (NodeId id = 0; id < 12; ++id) sim.set_process(id, std::make_unique<Jitter>());
-    Differential diff;
-    diff.install(sim);
-    sim.run_until(8.0);
-    EXPECT_GT(diff.checked(), 10000u);
-    // One rebuild at the first sample: the hook path never re-reads the
-    // fleet, whichever engine replays the events.
-    EXPECT_EQ(diff.tracker().rebuilds(), 1u) << "threads=" << threads;
-    if (threads > 1) {
-      EXPECT_GT(sim.parallel_windows(), 0u);
-    }
-  }
+TEST(SkewIndexDifferential, FleetOutsideRho) {
+  Simulator sim(differential_params(12), wild_clocks(12),
+                std::make_unique<UniformDelay>(0.002, 0.01), nullptr);
+  for (NodeId id = 0; id < 12; ++id) sim.set_process(id, std::make_unique<Jitter>());
+  Differential diff;
+  diff.install(sim);
+  sim.run_until(8.0);
+  EXPECT_GT(diff.checked(), 10000u);
+  // One rebuild at the first sample: the hook path never re-reads the fleet.
+  EXPECT_EQ(diff.tracker().rebuilds(), 1u);
 }
 
 TEST(SkewIndexDifferential, AmortizedRampsOfBothSigns) {
@@ -336,7 +330,7 @@ TEST(SkewIndexDifferential, LateJoinersIncludeProbeFlips) {
   sim.set_start_time(6, 1.0);
   sim.set_start_time(7, 2.0);
   sim.set_start_time(8, 2.0);
-  // Through the simulator's probe (observe_include) ...
+  // Through the simulator's probe (set_include_probe) ...
   sim.set_include_probe([&processes](NodeId id) { return processes[id]->integrated(); });
   Differential probed;
   // ... and through the tracker's own functor, on the same events.
