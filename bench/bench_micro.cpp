@@ -251,6 +251,35 @@ void BM_EventQueue_Churn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueue_Churn);
 
+void BM_EventQueue_FixedDelayFanout(benchmark::State& state) {
+  // The sparse workloads' push pattern. 1024 nodes each fire a ready timer
+  // about once a period; a firing pushes a self-delivery at now, a fan-out
+  // of 8 deliveries at now + c (the fixed delay) and its next timer ~1
+  // period out. Deliveries thus arrive in time order while the timers sit
+  // far ahead. One iteration is one pop.
+  constexpr NodeId kNodes = 1024;
+  constexpr int kFanout = 8;
+  constexpr double kDelay = 0.005;
+  EventQueue q;
+  Rng rng(11);
+  const auto msg = std::make_shared<const Message>(RoundMsg{1, {}});
+  for (NodeId i = 0; i < kNodes; ++i) q.push_timer(rng.next_double(), TimerEvent{i, i + 1});
+  for (auto _ : state) {
+    const Event e = q.pop();
+    benchmark::DoNotOptimize(e.seq);
+    if (!e.is_timer) continue;
+    const NodeId from = e.timer.node;
+    q.push_delivery(e.time, DeliveryEvent{from, from, msg, e.time});
+    for (int k = 0; k < kFanout; ++k) {
+      const auto to = static_cast<NodeId>((from + 1 + 97 * k) % kNodes);
+      q.push_delivery(e.time + kDelay, DeliveryEvent{to, from, msg, e.time});
+    }
+    q.push_timer(e.time + 1.0 + 0.001 * rng.next_double(), e.timer);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueue_FixedDelayFanout);
+
 void BM_Counters(benchmark::State& state) {
   // The per-send/per-deliver accounting exactly as the simulator performs it
   // (kind + size derivation included).

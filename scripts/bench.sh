@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Perf trajectory runner: builds bench_micro in Release and runs the tracked
-# hot-path benchmarks (broadcast fan-out, event-queue churn, counters, the
-# BM_Sweep_Grid8 end-to-end sweep, and the HMAC / signature-verify memo-hit,
+# hot-path benchmarks (broadcast fan-out, event-queue churn and the
+# fixed-delay fan-out pattern, counters, the BM_Sweep_Grid8 end-to-end sweep,
+# SHA-256 on 64 B and 4 KiB, and the HMAC / signature-verify memo-hit,
 # memo-miss and forged paths), appending the result as one labelled point to
 # BENCH_core.json.
 #
@@ -90,7 +91,7 @@ EOF
   exit 0
 fi
 
-FILTER='BM_Broadcast_N64|BM_Broadcast_N256|BM_Broadcast_N4096|BM_Broadcast_N65536|BM_TopoSwitch_Epochs|BM_EventQueue_Churn|BM_Counters|BM_Sweep_Grid8|BM_CellFingerprint|BM_StoreLookup|BM_HmacSha256|BM_VerifyRoundMessage|BM_VerifyRoundMessage_Miss|BM_VerifyForged'
+FILTER='BM_Broadcast_N64|BM_Broadcast_N256|BM_Broadcast_N4096|BM_Broadcast_N65536|BM_TopoSwitch_Epochs|BM_EventQueue_Churn|BM_EventQueue_FixedDelayFanout|BM_Counters|BM_Sweep_Grid8|BM_CellFingerprint|BM_StoreLookup|BM_Sha256_64B|BM_Sha256_4KiB|BM_HmacSha256|BM_VerifyRoundMessage|BM_VerifyRoundMessage_Miss|BM_VerifyForged'
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j --target bench_micro

@@ -34,7 +34,10 @@
 #            (auth n=1e5, expander k=16, sampled m=8, 120 s budget), and the
 #            soak cell (auth n=4096, expander k=8, sampled m=8, 500 rounds)
 #            under a wall and a peak-RSS budget: per-node memory that grows
-#            with run length breaks the RSS budget several times over.
+#            with run length breaks the RSS budget several times over. Last,
+#            one full-fleet timers corruption at n=16384 (auth_stab,
+#            expander k=8, sampled m=8) under a wall budget, which a
+#            per-victim scan of the timer table blows several times over.
 #   --asan   additionally build the tree under ASan+UBSan (its own build
 #            directory, <build-dir>-asan) and run the tier-1 ctest suite in
 #            it; any sanitizer report fails the gate.
@@ -60,7 +63,7 @@ RUN_TSAN=0
 BUILD_DIR="build-check"
 for arg in "$@"; do
   case "$arg" in
-    -h|--help) sed -n 's/^# \{0,1\}//p' "$0" | sed -n '2,49p'; exit 0 ;;
+    -h|--help) sed -n 's/^# \{0,1\}//p' "$0" | sed -n '2,52p'; exit 0 ;;
     --bench) RUN_BENCH=1 ;;
     --scen) RUN_SCEN=1 ;;
     --store) RUN_STORE=1 ;;
@@ -261,6 +264,15 @@ if [[ "$RUN_SCALE" -eq 1 ]]; then
     --budget 31 --rss-budget 84 \
     || { echo "check.sh: soak cell n=4096 x 500 rounds blew its budget" >&2; exit 1; }
   echo "check.sh: scale smoke OK: soak cell n=4096 x 500 rounds in budget"
+
+  # One corruption event wiping every node's pending timers at n=16384. The
+  # cell takes ~5.3 s (4.9 s without the corruption) on a 4-CPU host in this
+  # build type; cancelling through a victim mask is one pass over the timer
+  # table, where a scan per victim took 20.7 s.
+  timeout 14 "$BUILD_DIR/scenrun" examples/scenarios/scale/fleet_corruption_grid.json \
+    --csv "$SCALE_TMP/fleet_corruption.csv" \
+    || { echo "check.sh: fleet corruption n=16384 failed or blew its 14 s budget" >&2; exit 1; }
+  echo "check.sh: scale smoke OK: fleet timers corruption n=16384 in budget"
 fi
 
 if [[ "$RUN_ASAN" -eq 1 ]]; then

@@ -1,5 +1,7 @@
 #include "broadcast/auth_broadcast.h"
 
+#include <algorithm>
+
 #include "util/contracts.h"
 
 namespace stclock {
@@ -41,11 +43,12 @@ void AuthBroadcast::add_signatures(Context& ctx, Round k, const SigBundle& sigs)
 
   const Bytes& payload = payload_for(k, state);
   for (const crypto::Signature& sig : sigs) {
-    if (state.signers.contains(sig.signer)) continue;
+    const auto it = std::lower_bound(state.signers.begin(), state.signers.end(), sig.signer);
+    if (it != state.signers.end() && *it == sig.signer) continue;
     // Invalid signatures — wrong round, forged MAC, unknown signer — are
     // silently dropped; this is where unforgeability bites.
     if (!ctx.registry().verify(sig, payload)) continue;
-    state.signers.insert(sig.signer);
+    state.signers.insert(it, sig.signer);
     state.sigs.push_back(sig);
   }
   maybe_accept(ctx, k, state);

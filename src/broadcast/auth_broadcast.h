@@ -1,7 +1,6 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <vector>
 
 #include "broadcast/primitive.h"
@@ -42,7 +41,9 @@ class AuthBroadcast final : public BroadcastPrimitive {
 
  private:
   struct RoundState {
-    std::set<NodeId> signers;
+    /// Distinct signers so far, sorted ascending: a relay bundle checks
+    /// each of its f + 1 signatures against this with a binary search.
+    std::vector<NodeId> signers;
     SigBundle sigs;
     /// Cached round_signing_payload(k), serialized at most once per round
     /// instead of once per incoming signature batch.

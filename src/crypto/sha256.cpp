@@ -2,7 +2,13 @@
 
 #include <cstring>
 
+#include "crypto/sha256_compress.h"
 #include "util/contracts.h"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace stclock::crypto {
 
@@ -42,7 +48,9 @@ const Sha256::State& Sha256::midstate() const {
   return state_;
 }
 
-void Sha256::process_block(const std::uint8_t* block) {
+namespace detail {
+
+void compress_portable(Sha256::State& state, const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
@@ -56,8 +64,8 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -76,14 +84,102 @@ void Sha256::process_block(const std::uint8_t* block) {
     a = temp1 + temp2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if defined(__x86_64__)
+
+// The x86 SHA extensions keep the state as two lanes of four words, ABEF and
+// CDGH; sha256rnds2 runs two rounds, sha256msg1/msg2 extend the schedule
+// four words at a time. Same arithmetic as compress_portable, word for word.
+__attribute__((target("sha,sse4.1,ssse3"))) void compress_sha_ni(Sha256::State& state,
+                                                                 const std::uint8_t* block) {
+  // Big-endian words: byte-reverse each 32-bit lane.
+  const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+
+  const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  const __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  // w[k % 4] holds schedule words 4k..4k+3.
+  __m128i w[4] = {};
+#pragma GCC unroll 16
+  for (int k = 0; k < 16; ++k) {
+    __m128i wk;
+    if (k < 4) {
+      wk = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * k)), bswap);
+    } else {
+      const __m128i w16 = w[k % 4];        // words 4k-16 ..
+      const __m128i w12 = w[(k + 1) % 4];  // words 4k-12 ..
+      const __m128i w8 = w[(k + 2) % 4];   // words 4k-8 ..
+      const __m128i w4 = w[(k + 3) % 4];   // words 4k-4 ..
+      wk = _mm_add_epi32(_mm_sha256msg1_epu32(w16, w12), _mm_alignr_epi8(w4, w8, 4));
+      wk = _mm_sha256msg2_epu32(wk, w4);
+    }
+    w[k % 4] = wk;
+    __m128i kw = _mm_add_epi32(
+        wk, _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kRoundConstants[4 * k])));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, kw);
+    kw = _mm_shuffle_epi32(kw, 0x0E);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, kw);
+  }
+
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool sha_ni_available() {
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (__get_cpuid(1, &a, &b, &c, &d) == 0) return false;
+  const bool ssse3 = (c & (1u << 9)) != 0;
+  const bool sse41 = (c & (1u << 19)) != 0;
+  if (__get_cpuid_count(7, 0, &a, &b, &c, &d) == 0) return false;
+  const bool sha = (b & (1u << 29)) != 0;
+  return sha && ssse3 && sse41;
+}
+
+#else
+
+bool sha_ni_available() { return false; }
+
+#endif
+
+}  // namespace detail
+
+namespace {
+
+using CompressFn = void (*)(Sha256::State&, const std::uint8_t*);
+
+CompressFn pick_compress() {
+#if defined(__x86_64__)
+  if (detail::sha_ni_available()) return detail::compress_sha_ni;
+#endif
+  return detail::compress_portable;
+}
+
+}  // namespace
+
+void Sha256::process_block(const std::uint8_t* block) {
+  // Chosen once per process; both candidates give identical output.
+  static const CompressFn compress = pick_compress();
+  compress(state_, block);
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) {
@@ -119,27 +215,21 @@ Digest Sha256::finish() {
   ST_REQUIRE(!finished_, "Sha256: finish called twice");
   finished_ = true;
 
-  const std::uint64_t bits = total_bits_;
-  // Padding: 0x80, zeros, 64-bit big-endian length.
-  std::uint8_t pad[72];
-  std::size_t pad_len = 0;
-  pad[pad_len++] = 0x80;
-  while ((buffered_ + pad_len) % 64 != 56) pad[pad_len++] = 0;
-  for (int i = 7; i >= 0; --i) pad[pad_len++] = static_cast<std::uint8_t>(bits >> (8 * i));
-
-  // Feed padding through the block machinery without touching total_bits_.
-  std::size_t pos = 0;
-  while (pos < pad_len) {
-    const std::size_t take = std::min(pad_len - pos, std::size_t{64} - buffered_);
-    std::memcpy(buffer_.data() + buffered_, pad + pos, take);
-    buffered_ += take;
-    pos += take;
-    if (buffered_ == 64) {
-      process_block(buffer_.data());
-      buffered_ = 0;
-    }
+  // Padding, written in place: 0x80, zeros up to byte 56 of a block (a
+  // second block when fewer than 9 bytes are left), then the message length
+  // in bits as a 64-bit big-endian value.
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_.data() + buffered_, 0, 64 - buffered_);
+    process_block(buffer_.data());
+    buffered_ = 0;
   }
-  ST_ENSURE(buffered_ == 0, "Sha256: padding did not align");
+  std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(total_bits_ >> (8 * (7 - i)));
+  }
+  process_block(buffer_.data());
+  buffered_ = 0;
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

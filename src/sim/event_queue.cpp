@@ -24,7 +24,7 @@ bool entry_before(const RealTime ta, const std::uint64_t sa, const RealTime tb,
 void EventQueue::reserve(std::size_t events) {
   slab_.reserve(events);
   free_slots_.reserve(events);
-  top_.reserve(events);
+  lane_.reserve(events);
 }
 
 void EventQueue::push_timer(RealTime time, TimerEvent ev) {
@@ -44,7 +44,18 @@ void EventQueue::push_delivery(RealTime time, DeliveryEvent ev) {
     free_slots_.pop_back();
     slab_[slot] = std::move(ev);
   }
-  push_entry(time, Entry{time, next_seq_++, 0, slot, false});
+  const Entry e{time, next_seq_++, 0, slot, false};
+  if (lane_.empty() || !(time < lane_.back().time)) {
+    // Not before the lane's tail, and the newest seq: appending keeps the
+    // lane sorted by (time, seq).
+    ST_REQUIRE(time >= last_pop_time_,
+               "EventQueue: push earlier than the last pop (the simulator only "
+               "schedules into the future)");
+    lane_.push_back(e);
+    ++size_;
+    return;
+  }
+  push_entry(time, e);
 }
 
 void EventQueue::push_entry(RealTime time, Entry e) {
@@ -233,19 +244,42 @@ void EventQueue::transfer_top() {
   rungs_.push_back(std::move(rung));
 }
 
+bool EventQueue::lane_first() {
+  const std::size_t lane = lane_active();
+  if (lane == size_) return true;  // the ladder is empty
+  ensure_bottom();
+  if (lane == 0) return false;
+  const Entry& l = lane_[lane_head_];
+  const Entry& b = bottom_[bot_head_];
+  return entry_before(l.time, l.seq, b.time, b.seq);
+}
+
 RealTime EventQueue::next_time() {
   ST_REQUIRE(size_ > 0, "EventQueue: next_time on empty queue");
-  ensure_bottom();
-  return bottom_[bot_head_].time;
+  return lane_first() ? lane_[lane_head_].time : bottom_[bot_head_].time;
 }
 
 Event EventQueue::pop() {
   ST_REQUIRE(size_ > 0, "EventQueue: pop on empty queue");
-  ensure_bottom();
-  const Entry top = bottom_[bot_head_++];
-  if (bot_head_ == bottom_.size()) {
-    bottom_.clear();
-    bot_head_ = 0;
+  Entry top;
+  if (lane_first()) {
+    top = lane_[lane_head_++];
+    if (lane_head_ == lane_.size()) {
+      lane_.clear();
+      lane_head_ = 0;
+    } else if (2 * lane_head_ >= lane_.size()) {
+      // Each compaction moves fewer entries than were popped since the
+      // last one: amortized O(1), and the lane never outgrows twice its
+      // resident peak.
+      lane_.erase(lane_.begin(), lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_));
+      lane_head_ = 0;
+    }
+  } else {
+    top = bottom_[bot_head_++];
+    if (bot_head_ == bottom_.size()) {
+      bottom_.clear();
+      bot_head_ = 0;
+    }
   }
   --size_;
   last_pop_time_ = top.time;

@@ -28,6 +28,17 @@
 /// pushes are never earlier than the last pop (the simulator only schedules
 /// into the future). push_timer/push_delivery enforce this.
 ///
+/// Deliveries have a second, cheaper home: a FIFO "lane". A delivery pushed
+/// at or after the lane's newest time is appended to it — its seq is the
+/// largest yet, so the lane stays sorted by (time, seq) for free — and pops
+/// straight off its head, never touching a rung or a sort. Under a fixed
+/// delay every non-self delivery lands at now + c with now non-decreasing,
+/// so the whole fan-out rides the lane. Everything else (out-of-order
+/// deliveries, and every timer: a ready timer ~1 s ahead would become the
+/// lane's tail and shut every later delivery out) goes to the ladder.
+/// next_time/pop take the smaller of the two heads by (time, seq), so the
+/// pop order is exactly the single-ladder order.
+///
 /// Entries stay slim PODs: timer payloads (two ids) are inlined, and
 /// delivery payloads live in a free-listed slab referenced by slot, so
 /// bucket moves never touch a shared_ptr refcount.
@@ -72,13 +83,14 @@ class EventQueue {
   EventQueue() = default;
   explicit EventQueue(Tuning tuning) : tuning_(tuning) {}
 
-  /// Pre-sizes the delivery slab and the staging arrays for `events`
+  /// Pre-sizes the delivery slab and the delivery lane for `events`
   /// resident events, so the steady state never reallocates.
   void reserve(std::size_t events);
 
   /// Both push fronts require time >= the last popped time: the simulator
   /// only ever schedules into the (non-strict) future, and the ladder's
-  /// bucket spine depends on it.
+  /// bucket spine depends on it. Timers always go to the ladder; a delivery
+  /// goes to the lane when it does not precede the lane's tail.
   void push_timer(RealTime time, TimerEvent ev);
   void push_delivery(RealTime time, DeliveryEvent ev);
 
@@ -133,7 +145,11 @@ class EventQueue {
 
   Tuning tuning_{};
 
+  /// Routes an entry into the ladder.
   void push_entry(RealTime time, Entry e);
+  /// True when the lane holds the earliest entry; otherwise the ladder
+  /// does, and its bottom list is established. Requires size_ > 0.
+  [[nodiscard]] bool lane_first();
   /// Establishes a non-empty bottom list (requires size_ > 0).
   void ensure_bottom();
   void refill_from_rung();
@@ -146,6 +162,7 @@ class EventQueue {
   /// disagree about which side an entry falls on.
   [[nodiscard]] static RealTime bucket_boundary(const Rung& r, std::size_t k);
   [[nodiscard]] std::size_t bottom_active() const { return bottom_.size() - bot_head_; }
+  [[nodiscard]] std::size_t lane_active() const { return lane_.size() - lane_head_; }
 
   /// Sorted ascending by (time, seq); pops at bot_head_. Owns [last pop,
   /// bot_end_).
@@ -160,9 +177,15 @@ class EventQueue {
   RealTime top_min_ = 0;
   RealTime top_max_ = 0;
 
+  /// The delivery lane, sorted ascending by (time, seq); pops at
+  /// lane_head_. The consumed prefix is compacted away once it is at least
+  /// half the vector, so the storage is reused at amortized O(1).
+  std::vector<Entry> lane_;
+  std::size_t lane_head_ = 0;
+
   std::vector<DeliveryEvent> slab_;
   std::vector<std::uint32_t> free_slots_;
-  std::size_t size_ = 0;
+  std::size_t size_ = 0;  ///< lane plus ladder
   std::uint64_t next_seq_ = 0;
   RealTime last_pop_time_ = 0;
 };

@@ -448,6 +448,20 @@ void Simulator::apply_corruption(std::size_t idx) {
 
   ++corruption_events_fired_;
   nodes_corrupted_ += count;
+  if (ev.kinds & kCorruptTimers) {
+    // Pending protocol timers are memory; they vanish exactly like on a
+    // churn crash. The hardware ticker (kArmedTick) survives. All victims
+    // go in one pass over the timer table: the per-victim loop below never
+    // arms or cancels another node's timer, and cancelling draws nothing
+    // from the corruption stream, so doing it up front changes no result.
+    std::vector<bool> hit(params_.n, false);
+    for (const NodeId id : victims) hit[id] = true;
+    for (std::size_t t = 0; t + 1 < next_timer_id_; ++t) {
+      if (timer_states_[t] == TimerState::kArmedProcess && hit[timer_owners_[t]]) {
+        timer_states_[t] = TimerState::kCancelled;
+      }
+    }
+  }
   for (const NodeId id : victims) {
     Node& node = nodes_[id];
     if (ev.kinds & kCorruptClocks) {
@@ -456,15 +470,6 @@ void Simulator::apply_corruption(std::size_t idx) {
       // anchor a self-stabilizing protocol recovers from.
       const Duration delta = corrupt_rng_->uniform(-ev.clock_range, ev.clock_range);
       node.logical->adjust_override(node.hw->read(now_), delta);
-    }
-    if (ev.kinds & kCorruptTimers) {
-      // Pending protocol timers are memory; they vanish exactly like on a
-      // churn crash. The hardware ticker (kArmedTick) survives.
-      for (TimerId t = 1; t < next_timer_id_; ++t) {
-        if (timer_states_[t - 1] == TimerState::kArmedProcess && timer_owners_[t - 1] == id) {
-          timer_states_[t - 1] = TimerState::kCancelled;
-        }
-      }
     }
     if (ev.kinds & kCorruptBuffers) node.purge_before = now_;
     if (ev.kinds & kCorruptState) node.process->corrupt_state(*corrupt_rng_);

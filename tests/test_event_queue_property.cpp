@@ -75,7 +75,9 @@ class ReferenceQueue {
 /// Drives the ladder queue and the reference heap in lockstep: every push
 /// goes to both, every pop compares all observable fields exactly — times
 /// and sent_at by bit equality, payloads by value, messages by pointer
-/// identity (the queue must hand back the same object it was given).
+/// identity (the queue must hand back the same object it was given). The
+/// drivers stop at the first failed comparison: once the orders diverge,
+/// every later step would fail too.
 class LockstepHarness {
  public:
   void push(RealTime t) {
@@ -93,6 +95,20 @@ class LockstepHarness {
       q.push_delivery(t, ev);
       ref.push_delivery(t, ev);
     }
+  }
+
+  void push_timer_at(RealTime t) {
+    const TimerEvent ev{static_cast<NodeId>(++salt_ % 97), salt_};
+    q.push_timer(t, ev);
+    ref.push_timer(t, ev);
+  }
+
+  void push_delivery_at(RealTime t) {
+    ++salt_;
+    const DeliveryEvent ev{static_cast<NodeId>(salt_ % 89), static_cast<NodeId>(salt_ % 83),
+                           msg_, static_cast<RealTime>(salt_) * 0.5};
+    q.push_delivery(t, ev);
+    ref.push_delivery(t, ev);
   }
 
   /// Pops from both and returns the (verified identical) event time.
@@ -156,7 +172,7 @@ TEST(EventQueueProperty, MatchesReferenceHeapOnChurnWorkloads) {
     for (std::size_t i = 0; i < r.population; ++i) h.push(unit(rng) * r.span);
     for (std::uint64_t step = 0; step < 3 * r.population; ++step) {
       const RealTime popped = h.pop_and_compare(step);
-      if (::testing::Test::HasFatalFailure()) return;
+      if (::testing::Test::HasFailure()) return;
       // Push relative to the POPPED time — the monotone contract, exactly
       // how the simulator schedules timers and deliveries.
       const double offset = unit(rng) < r.zero_prob
@@ -169,7 +185,7 @@ TEST(EventQueueProperty, MatchesReferenceHeapOnChurnWorkloads) {
     std::uint64_t step = 3 * r.population;
     while (!h.ref.empty()) {
       (void)h.pop_and_compare(step++);
-      if (::testing::Test::HasFatalFailure()) return;
+      if (::testing::Test::HasFailure()) return;
     }
     EXPECT_TRUE(h.q.empty());
   }
@@ -196,15 +212,50 @@ TEST(EventQueueProperty, MatchesReferenceHeapOnBurstThenDrain) {
     const std::size_t drain = count / 2 + 1;
     for (std::size_t i = 0; i < drain && !h.ref.empty(); ++i) {
       base = h.pop_and_compare(step++);
-      if (::testing::Test::HasFatalFailure()) return;
+      if (::testing::Test::HasFailure()) return;
       if (i % 7 == 0) h.push(base);
     }
   }
   while (!h.ref.empty()) {
     (void)h.pop_and_compare(step++);
-    if (::testing::Test::HasFatalFailure()) return;
+    if (::testing::Test::HasFailure()) return;
   }
   EXPECT_TRUE(h.q.empty());
+}
+
+TEST(EventQueueProperty, MatchesReferenceHeapOnFixedDelayFanout) {
+  // The sparse workloads' push pattern: fan-outs land at now + c, so those
+  // deliveries arrive in time order and ride the delivery lane. Timers at
+  // arbitrary future times, self-deliveries at now and a few out-of-order
+  // deliveries go to the ladder, and timers exactly at now + c tie with
+  // lane entries. Pins the lane, the ladder and how their heads interleave.
+  constexpr double kDelay = 0.005;
+  for (const std::uint64_t seed : {21u, 22u, 23u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    LockstepHarness h;
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    for (int i = 0; i < 64; ++i) h.push_timer_at(unit(rng));
+    std::uint64_t step = 0;
+    for (; step < 60000; ++step) {
+      const RealTime now = h.pop_and_compare(step);
+      if (::testing::Test::HasFailure()) return;
+      if (h.q.size() < 4000 && unit(rng) < 0.3) {
+        const int fan = 1 + static_cast<int>(unit(rng) * 8);
+        for (int j = 0; j < fan; ++j) h.push_delivery_at(now + kDelay);
+      }
+      if (unit(rng) < 0.1) h.push_delivery_at(now);  // self-delivery
+      if (unit(rng) < 0.05) h.push_timer_at(now + unit(rng));
+      if (unit(rng) < 0.02) h.push_timer_at(now + kDelay);
+      if (unit(rng) < 0.02) h.push_delivery_at(now + unit(rng) * kDelay);  // out of order
+      if (h.q.size() < 16) h.push_timer_at(now + unit(rng) * 0.01);
+    }
+    while (!h.ref.empty()) {
+      (void)h.pop_and_compare(step++);
+      if (::testing::Test::HasFailure()) return;
+    }
+    EXPECT_TRUE(h.q.empty());
+  }
 }
 
 TEST(EventQueueProperty, RejectsPushesBeforeTheLastPop) {
@@ -218,6 +269,16 @@ TEST(EventQueueProperty, RejectsPushesBeforeTheLastPop) {
   q.push_timer(1.0, TimerEvent{0, 4});  // exactly at the last pop is fine
   EXPECT_EQ(q.pop().timer.id, 4u);
   EXPECT_EQ(q.pop().timer.id, 1u);
+  // Deliveries too: into the empty lane, and (behind the lane's tail) into
+  // the ladder.
+  const auto msg = std::make_shared<const Message>(InitMsg{1});
+  EXPECT_THROW(q.push_delivery(4.0, DeliveryEvent{0, 1, msg, 0.0}), std::logic_error);
+  q.push_delivery(6.0, DeliveryEvent{0, 1, msg, 0.0});
+  q.push_delivery(7.0, DeliveryEvent{0, 1, msg, 0.0});
+  EXPECT_EQ(q.pop().time, 6.0);
+  EXPECT_THROW(q.push_delivery(5.5, DeliveryEvent{0, 1, msg, 0.0}), std::logic_error);
+  EXPECT_EQ(q.pop().time, 7.0);
+  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace

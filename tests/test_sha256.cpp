@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <random>
 #include <string>
 
 #include "crypto/sha256.h"
+#include "crypto/sha256_compress.h"
 #include "util/bytes.h"
 
 namespace stclock::crypto {
@@ -105,6 +108,44 @@ TEST(Sha256, MidstateOffBlockBoundaryThrows) {
   Sha256 at_boundary;
   at_boundary.update(std::string(64, 'x'));
   EXPECT_NO_THROW((void)at_boundary.midstate());
+}
+
+// Sha256 hashes through whichever compression the CPU supports; these two
+// tests reach the candidates directly, so the portable reference is checked
+// on every host and the SHA-NI one wherever it can run.
+
+TEST(Sha256Compress, PortableMatchesFipsAbcBlock) {
+  // "abc" padded to one block, from the standard initial value.
+  std::array<std::uint8_t, 64> block{};
+  block[0] = 'a';
+  block[1] = 'b';
+  block[2] = 'c';
+  block[3] = 0x80;
+  block[63] = 24;  // message length in bits
+  Sha256::State state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                         0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  detail::compress_portable(state, block.data());
+  const Sha256::State expected = {0xba7816bf, 0x8f01cfea, 0x414140de, 0x5dae2223,
+                                  0xb00361a3, 0x96177a9c, 0xb410ff61, 0xf20015ad};
+  EXPECT_EQ(state, expected);
+}
+
+TEST(Sha256Compress, ShaNiMatchesPortableOnRandomStatesAndBlocks) {
+  if (!detail::sha_ni_available()) GTEST_SKIP() << "CPU lacks the SHA extensions";
+#if defined(__x86_64__)
+  std::mt19937_64 rng(0x5a256);
+  for (int i = 0; i < 20000; ++i) {
+    Sha256::State state{};
+    for (std::uint32_t& w : state) w = static_cast<std::uint32_t>(rng());
+    std::array<std::uint8_t, 64> block{};
+    for (std::uint8_t& b : block) b = static_cast<std::uint8_t>(rng());
+    Sha256::State portable = state;
+    Sha256::State sha_ni = state;
+    detail::compress_portable(portable, block.data());
+    detail::compress_sha_ni(sha_ni, block.data());
+    ASSERT_EQ(sha_ni, portable) << "pair " << i;
+  }
+#endif
 }
 
 }  // namespace

@@ -336,5 +336,42 @@ TEST(Simulator, DeterministicGivenSeed) {
   EXPECT_DOUBLE_EQ(run_once(), run_once());
 }
 
+/// Arms one timer at start and records whether it fired.
+class OneTimer final : public Process {
+ public:
+  explicit OneTimer(LocalTime at) : at_(at) {}
+  void on_start(Context& ctx) override { (void)ctx.set_timer_at_hardware(at_); }
+  void on_message(Context&, NodeId, const Message&) override {}
+  void on_timer(Context&, TimerId) override { fired_ = true; }
+  [[nodiscard]] bool fired() const { return fired_; }
+
+ private:
+  LocalTime at_;
+  bool fired_ = false;
+};
+
+TEST(Simulator, TimersCorruptionCancelsExactlyTheVictimsTimers) {
+  // Half the fleet is hit before its timers are due: the victims' timers
+  // vanish and every other node's fires on schedule.
+  constexpr std::uint32_t kN = 10;
+  SimParams params;
+  params.n = kN;
+  params.tdel = 0.01;
+  params.seed = 3;
+  params.corruptions = {CorruptionEvent{1.0, 0.5, kCorruptTimers, 0.0}};
+  Simulator sim(params, identity_clocks(kN), std::make_unique<FixedDelay>(0.5), nullptr);
+  std::vector<const OneTimer*> processes;
+  for (NodeId id = 0; id < kN; ++id) {
+    auto process = std::make_unique<OneTimer>(2.0);
+    processes.push_back(process.get());
+    sim.set_process(id, std::move(process));
+  }
+  sim.run_until(3.0);
+  EXPECT_EQ(sim.nodes_corrupted(), kN / 2);
+  std::uint32_t fired = 0;
+  for (const OneTimer* p : processes) fired += p->fired() ? 1 : 0;
+  EXPECT_EQ(fired, kN / 2);
+}
+
 }  // namespace
 }  // namespace stclock
