@@ -5,10 +5,10 @@
 // attack axis, executed on a small worker pool — then deliberately
 // over-corrupts the system to show where the guarantees genuinely stop.
 
+#include <iomanip>
 #include <iostream>
 
 #include "experiment/sweep.h"
-#include "util/table.h"
 
 int main() {
   using namespace stclock;
@@ -52,15 +52,16 @@ int main() {
   const std::vector<experiment::ScenarioResult> results =
       experiment::SweepRunner(/*threads=*/0).run(cells);  // 0 = all cores
 
-  Table table({"attack", "what it tries", "skew(s)", "Dmax(s)", "held?"});
+  std::cout << std::left << std::setw(12) << "attack" << std::setw(44) << "what it tries"
+            << std::setw(11) << "skew(s)" << std::setw(11) << "Dmax(s)" << "held?\n"
+            << std::scientific << std::setprecision(3);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const experiment::ScenarioResult& r = results[i];
     const bool held = r.live && r.steady_skew <= r.bounds.precision;
-    table.add_row({attack_name(attacks[i].kind), attacks[i].description,
-                   Table::sci(r.steady_skew), Table::sci(r.bounds.precision),
-                   held ? "yes" : "NO"});
+    std::cout << std::setw(12) << attack_name(attacks[i].kind) << std::setw(44)
+              << attacks[i].description << std::setw(11) << r.steady_skew << std::setw(11)
+              << r.bounds.precision << (held ? "yes" : "NO") << "\n";
   }
-  table.print(std::cout);
 
   // And now the honest answer about where the guarantee ends.
   std::cout << "\nOver-corrupting the same system (4 nodes = f+1, spam-early):\n";
@@ -69,8 +70,9 @@ int main() {
   breakdown.attack = AttackKind::kSpamEarly;
   breakdown.corrupt_override = 4;
   const experiment::ScenarioResult r = experiment::run_scenario(breakdown);
-  std::cout << "  min inter-pulse period: " << Table::num(r.min_period, 4)
-            << " s (floor was " << Table::num(r.bounds.min_period, 4) << " s)\n"
+  std::cout << std::fixed << std::setprecision(4)
+            << "  min inter-pulse period: " << r.min_period
+            << " s (floor was " << r.bounds.min_period << " s)\n"
             << "  -> with f+1 corrupted nodes the adversary assembles signature\n"
             << "     quorums alone and drives pulses at will; resilience ceil(n/2)-1\n"
             << "     is tight, exactly as the paper proves.\n";

@@ -7,13 +7,13 @@
 // delays, and verifies the synchrony contract held (no message ever arrived
 // after its round ended).
 
+#include <iomanip>
 #include <iostream>
 
 #include "adversary/delay_policies.h"
 #include "clocks/drift_models.h"
 #include "core/synchronizer.h"
 #include "sim/simulator.h"
-#include "util/table.h"
 
 namespace {
 
@@ -49,7 +49,8 @@ int main() {
   cfg.initial_sync = 0.005;
 
   const Duration round_len = min_lockstep_round_duration(cfg);
-  std::cout << "n=5, f=2; lockstep round duration " << Table::num(round_len * 1e3, 1)
+  std::cout << "n=5, f=2; lockstep round duration " << std::fixed << std::setprecision(1)
+            << round_len * 1e3
             << " ms (= skew bound + one delivery, logical time)\n\n";
 
   const crypto::KeyRegistry registry(cfg.n, 7);
@@ -75,16 +76,15 @@ int main() {
 
   sim.run_until(15.0);
 
-  Table table({"node", "input", "agreed min", "rounds executed", "late msgs"});
+  std::cout << std::left << std::setw(6) << "node" << std::setw(7) << "input" << std::setw(12)
+            << "agreed min" << std::setw(17) << "rounds executed" << "late msgs\n";
   bool all_agree = true;
   for (NodeId id = 0; id < cfg.n; ++id) {
-    table.add_row({std::to_string(id), std::to_string(inputs[id]),
-                   std::to_string(apps[id]->current_min()),
-                   std::to_string(nodes[id]->rounds_executed()),
-                   std::to_string(nodes[id]->late_messages())});
+    std::cout << std::setw(6) << id << std::setw(7) << inputs[id] << std::setw(12)
+              << apps[id]->current_min() << std::setw(17) << nodes[id]->rounds_executed()
+              << nodes[id]->late_messages() << "\n";
     all_agree &= apps[id]->current_min() == 42 && nodes[id]->late_messages() == 0;
   }
-  table.print(std::cout);
 
   std::cout << "\nEvery node agreed on min = 42 after the first full exchange, and\n"
                "no message ever missed its round: the clocks simulated synchrony.\n";

@@ -9,10 +9,10 @@
 // The same three steps run every protocol in the registry — swap
 // spec.protocol for "echo", "lundelius_welch", ... and nothing else changes.
 
+#include <iomanip>
 #include <iostream>
 
 #include "experiment/scenario.h"
-#include "util/table.h"
 
 int main() {
   using namespace stclock;
@@ -32,10 +32,11 @@ int main() {
   const theory::Bounds bounds = theory::derive_bounds(cfg);
   std::cout << "Configured system: n=" << cfg.n << ", f=" << cfg.f << " ("
             << cfg.variant_name() << ")\n"
-            << "  guaranteed skew  (Dmax): " << Table::sci(bounds.precision) << " s\n"
-            << "  pulse spread bound (D):  " << Table::sci(bounds.pulse_spread) << " s\n"
-            << "  period: [" << Table::num(bounds.min_period, 4) << ", "
-            << Table::num(bounds.max_period, 4) << "] s\n\n";
+            << std::scientific << std::setprecision(3)
+            << "  guaranteed skew  (Dmax): " << bounds.precision << " s\n"
+            << "  pulse spread bound (D):  " << bounds.pulse_spread << " s\n"
+            << std::fixed << std::setprecision(4)
+            << "  period: [" << bounds.min_period << ", " << bounds.max_period << "] s\n\n";
 
   // --- 2. Describe the protocol, environment, and adversary --------------
   experiment::ScenarioSpec spec;
@@ -50,14 +51,16 @@ int main() {
   // --- 3. Run and inspect ------------------------------------------------
   const experiment::ScenarioResult result = experiment::run_scenario(spec);
 
-  std::cout << "After " << spec.horizon << " s under attack:\n"
+  std::cout << std::defaultfloat << "After " << spec.horizon << " s under attack:\n"
             << "  all nodes kept pulsing:   " << (result.live ? "yes" : "NO") << "\n"
-            << "  worst skew observed:      " << Table::sci(result.steady_skew)
-            << " s (bound " << Table::sci(result.bounds.precision) << ")\n"
-            << "  worst pulse spread:       " << Table::sci(result.pulse_spread)
-            << " s (bound " << Table::sci(result.bounds.pulse_spread) << ")\n"
-            << "  clock rates stayed within [" << Table::num(result.envelope.min_rate, 6)
-            << ", " << Table::num(result.envelope.max_rate, 6) << "]\n"
+            << std::scientific << std::setprecision(3)
+            << "  worst skew observed:      " << result.steady_skew
+            << " s (bound " << result.bounds.precision << ")\n"
+            << "  worst pulse spread:       " << result.pulse_spread
+            << " s (bound " << result.bounds.pulse_spread << ")\n"
+            << std::fixed << std::setprecision(6)
+            << "  clock rates stayed within [" << result.envelope.min_rate << ", "
+            << result.envelope.max_rate << "]\n"
             << "  messages sent:            " << result.messages_sent << "\n";
 
   const bool ok = result.live && result.steady_skew <= result.bounds.precision;

@@ -5,10 +5,10 @@
 // adopts the first resynchronization round it observes being accepted, and
 // from then on participates fully — all while 1 node is actively Byzantine.
 
+#include <iomanip>
 #include <iostream>
 
 #include "experiment/scenario.h"
-#include "util/table.h"
 
 int main() {
   using namespace stclock;
@@ -34,14 +34,15 @@ int main() {
 
   const experiment::ScenarioResult r = experiment::run_scenario(spec);
 
-  Table table({"metric", "value", "guarantee"});
-  table.add_row({"joiner integrated", r.joiners_integrated ? "yes" : "NO", "yes"});
-  table.add_row({"integration latency", Table::num(r.join_latency, 3) + " s",
-                 "<= " + Table::num(r.bounds.max_period, 3) + " s (one period)"});
-  table.add_row({"post-join skew", Table::sci(r.steady_skew) + " s",
-                 "<= " + Table::sci(r.bounds.precision) + " s"});
-  table.add_row({"running nodes disturbed", r.live ? "no" : "YES", "no"});
-  table.print(std::cout);
+  std::cout << std::fixed << std::setprecision(3)
+            << "  joiner integrated:       " << (r.joiners_integrated ? "yes" : "NO")
+            << " (guarantee: yes)\n"
+            << "  integration latency:     " << r.join_latency << " s (guarantee: <= "
+            << r.bounds.max_period << " s, one period)\n"
+            << std::scientific
+            << "  post-join skew:          " << r.steady_skew << " s (guarantee: <= "
+            << r.bounds.precision << " s)\n"
+            << "  running nodes disturbed: " << (r.live ? "no" : "YES") << " (guarantee: no)\n";
 
   std::cout << "\nHow it works: the joiner participates in the broadcast primitive\n"
                "(verifying and relaying) but broadcasts no readiness of its own.\n"

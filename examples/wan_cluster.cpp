@@ -7,10 +7,10 @@
 // unsynchronized control under identical conditions — three registry names,
 // one parallel sweep, one engine.
 
+#include <iomanip>
 #include <iostream>
 
 #include "experiment/sweep.h"
-#include "util/table.h"
 
 int main() {
   using namespace stclock;
@@ -56,17 +56,17 @@ int main() {
   const experiment::ScenarioResult& lw = results[1];
   const experiment::ScenarioResult& unsync = results[2];
 
-  Table table({"algorithm", "tolerates", "worst skew", "skew bound", "msgs sent"});
-  table.add_row({"srikanth-toueg (auth)", "4 of 9 Byzantine",
-                 Table::num(st.steady_skew * 1e3, 2) + " ms",
-                 Table::num(st.bounds.precision * 1e3, 2) + " ms",
-                 std::to_string(st.messages_sent)});
-  table.add_row({"lundelius-welch", "2 of 9 Byzantine",
-                 Table::num(lw.steady_skew * 1e3, 2) + " ms", "-",
-                 std::to_string(lw.messages_sent)});
-  table.add_row({"unsynchronized", "-", Table::num(unsync.max_skew * 1e3, 2) + " ms",
-                 "(grows forever)", "0"});
-  table.print(std::cout);
+  std::cout << std::left << std::fixed << std::setprecision(2) << std::setw(23) << "algorithm"
+            << std::setw(18) << "tolerates" << std::setw(16) << "worst skew(ms)"
+            << std::setw(16) << "skew bound(ms)" << "msgs sent\n"
+            << std::setw(23) << "srikanth-toueg (auth)" << std::setw(18) << "4 of 9 Byzantine"
+            << std::setw(16) << st.steady_skew * 1e3 << std::setw(16)
+            << st.bounds.precision * 1e3 << st.messages_sent << "\n"
+            << std::setw(23) << "lundelius-welch" << std::setw(18) << "2 of 9 Byzantine"
+            << std::setw(16) << lw.steady_skew * 1e3 << std::setw(16) << "-"
+            << lw.messages_sent << "\n"
+            << std::setw(23) << "unsynchronized" << std::setw(18) << "-" << std::setw(16)
+            << unsync.max_skew * 1e3 << std::setw(16) << "(grows forever)" << "0\n";
 
   // When would free-running clocks overtake the synchronized bound?
   const double gamma = (1 + base.cfg.rho) - 1 / (1 + base.cfg.rho);
@@ -76,13 +76,12 @@ int main() {
             << "  - under 4 compromised replicas only the signature-based protocol\n"
             << "    still runs at all; LW's resilience tops out at f=2 for n=9;\n"
             << "  - synchronized skew is bounded FOREVER at the scale of the delay\n"
-            << "    bound; free-running clocks drift ~"
-            << Table::num(gamma * 3600 * 1e3, 0) << " ms/hour and pass the\n"
-            << "    synchronized bound after ~" << Table::num(crossover_min, 0)
+            << "    bound; free-running clocks drift ~" << std::setprecision(0)
+            << gamma * 3600 * 1e3 << " ms/hour and pass the\n"
+            << "    synchronized bound after ~" << crossover_min
             << " minutes, growing without limit;\n"
             << "  - every replica pulsed " << st.min_pulses << "-" << st.max_pulses
-            << " times (period within ["
-            << Table::num(st.min_period, 2) << ", " << Table::num(st.max_period, 2)
-            << "] s).\n";
+            << " times (period within [" << std::setprecision(2) << st.min_period << ", "
+            << st.max_period << "] s).\n";
   return 0;
 }

@@ -1,13 +1,15 @@
 #pragma once
 
-#include "baselines/baseline.h"
+#include "sim/process.h"
 
 /// Naive leader-based synchronization (an NTP-like strawman): node 0
 /// broadcasts its clock every period; followers slave to it. With an honest
 /// leader this gives tight skew at O(n) messages per round — but a single
 /// corrupted leader fully controls every clock in the system. The
 /// comparison table includes it to motivate why the paper insists on f+1
-/// supporting processes before anyone moves its clock.
+/// supporting processes before anyone moves its clock. The "leader_corrupt"
+/// registry entry hands the leader to the adversary, which feeds followers a
+/// clock running 10% fast — the breakdown demo.
 namespace stclock::baselines {
 
 class LeaderProtocol final : public Process {
@@ -25,9 +27,5 @@ class LeaderProtocol final : public Process {
   Round round_ = 1;
   TimerId timer_ = 0;
 };
-
-/// `corrupt_leader` puts the leader under adversary control (a strategy that
-/// feeds followers a clock running 10% fast) — the breakdown demo.
-[[nodiscard]] BaselineResult run_leader_sync(const BaselineSpec& spec, bool corrupt_leader);
 
 }  // namespace stclock::baselines

@@ -61,7 +61,10 @@ struct Signature {
 class KeyRegistry;
 
 /// Capability to sign as one node. Copyable but only obtainable from the
-/// registry; ownership discipline in core/runner.cpp provides unforgeability.
+/// registry. Unforgeability comes from who holds the registry:
+/// run_scenario_with in experiment/scenario.cpp builds it and hands it
+/// only to the Simulator, whose Context::signer() returns a node's
+/// own handle and whose AdversaryContext::signer_for() refuses honest ids.
 class Signer {
  public:
   [[nodiscard]] Signature sign(std::span<const std::uint8_t> payload) const;

@@ -281,13 +281,6 @@ void validate_spec_structure(const ScenarioSpec& spec, EngineMode mode) {
 
 }  // namespace
 
-ScenarioResult run_scenario(const ScenarioSpec& spec) {
-  const ProtocolRegistry::Entry& entry = ProtocolRegistry::global().at(spec.protocol);
-  ScenarioResult result = run_scenario_with(resolved_spec(spec), entry.mode, entry.factory);
-  result.protocol = spec.protocol;
-  return result;
-}
-
 ScenarioSpec resolved_spec(const ScenarioSpec& spec) {
   const ProtocolRegistry::Entry* entry = ProtocolRegistry::global().find(spec.protocol);
   if (entry == nullptr || !entry->prepare) return spec;
@@ -350,6 +343,10 @@ std::uint32_t broadcast_fanin(const ScenarioSpec& spec) {
   return 0;
 }
 
+namespace {
+
+/// The engine itself: runs the resolved scenario with the registry entry's
+/// mode and process factory.
 ScenarioResult run_scenario_with(const ScenarioSpec& spec, EngineMode mode,
                                  const ProcessFactory& factory) {
   const SyncConfig& cfg = spec.cfg;
@@ -546,8 +543,12 @@ ScenarioResult run_scenario_with(const ScenarioSpec& spec, EngineMode mode,
     // The envelope fit needs a few samples past the convergence prefix.
     if (spec.horizon > env_steady + 3 * spec.envelope_interval) {
       result.envelope = envelope.report(env_lo, env_hi, env_steady);
-      result.rate_fit_tolerance =
-          2 * result.bounds.precision / (spec.horizon - env_steady);
+      // A late joiner's samples start at its boot, so its fit window, the
+      // shortest one, opens at join_time rather than at env_steady.
+      const bool joiner_fitted = spec.joiners > 0 && spec.join_time < spec.horizon;
+      const RealTime fit_start =
+          joiner_fitted ? std::max(env_steady, spec.join_time) : env_steady;
+      result.rate_fit_tolerance = 2 * result.bounds.precision / (spec.horizon - fit_start);
     }
   } else if (spec.horizon > 3 * cfg.period + 1.0) {
     // Baselines are judged against the raw hardware envelope.
@@ -570,6 +571,15 @@ ScenarioResult run_scenario_with(const ScenarioSpec& spec, EngineMode mode,
     result.stabilized = skew.stabilized();
     result.stabilization_time = skew.stabilization_time();
   }
+  return result;
+}
+
+}  // namespace
+
+ScenarioResult run_scenario(const ScenarioSpec& spec) {
+  const ProtocolRegistry::Entry& entry = ProtocolRegistry::global().at(spec.protocol);
+  ScenarioResult result = run_scenario_with(resolved_spec(spec), entry.mode, entry.factory);
+  result.protocol = spec.protocol;
   return result;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "sim/message.h"
@@ -36,7 +37,7 @@
 /// so the whole fan-out rides the lane. Everything else (out-of-order
 /// deliveries, and every timer: a ready timer ~1 s ahead would become the
 /// lane's tail and shut every later delivery out) goes to the ladder.
-/// next_time/pop take the smaller of the two heads by (time, seq), so the
+/// pop/pop_until take the smaller of the two heads by (time, seq), so the
 /// pop order is exactly the single-ladder order.
 ///
 /// Entries stay slim PODs: timer payloads (two ids) are inlined, and
@@ -97,9 +98,11 @@ class EventQueue {
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
 
-  /// Earliest pending time. Non-const: peeking may sort the next bucket
-  /// into the bottom list (observable state is untouched). Requires !empty().
-  [[nodiscard]] RealTime next_time();
+  /// Removes and returns the earliest event if it is due at or before
+  /// `horizon`; returns nothing, and leaves every event queued, when the
+  /// queue is empty or its earliest event is later. The head is chosen once
+  /// per call (choosing may sort the next bucket into the bottom list).
+  [[nodiscard]] std::optional<Event> pop_until(RealTime horizon);
 
   /// Removes and returns the earliest event. Requires !empty().
   [[nodiscard]] Event pop();
@@ -150,6 +153,8 @@ class EventQueue {
   /// True when the lane holds the earliest entry; otherwise the ladder
   /// does, and its bottom list is established. Requires size_ > 0.
   [[nodiscard]] bool lane_first();
+  /// Removes the head of the lane (`from_lane`) or of the bottom list into `e`.
+  void take(bool from_lane, Event& e);
   /// Establishes a non-empty bottom list (requires size_ > 0).
   void ensure_bottom();
   void refill_from_rung();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "sim/broadcast_sample.h"
 #include "util/arena.h"
@@ -208,13 +209,12 @@ void Simulator::run_until(RealTime horizon) {
     if (adversary_ != nullptr) adversary_->on_start(*adv_ctx_);
   }
 
-  while (!queue_.empty() && queue_.next_time() <= horizon) {
+  while (const std::optional<Event> ev = queue_.pop_until(horizon)) {
     ST_REQUIRE(++events_dispatched_ <= params_.max_events,
                "Simulator: event budget exhausted (runaway protocol?)");
-    const Event ev = queue_.pop();
-    ST_ASSERT(ev.time >= now_, "Simulator: time went backwards");
-    now_ = ev.time;
-    dispatch(ev);
+    ST_ASSERT(ev->time >= now_, "Simulator: time went backwards");
+    now_ = ev->time;
+    dispatch(*ev);
     if (last_event_node_ < params_.n) trim_clocks(last_event_node_);
     if (post_event_hook_) post_event_hook_(*this);
   }

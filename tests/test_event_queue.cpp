@@ -38,16 +38,20 @@ TEST(EventQueue, MixedTimersAndDeliveries) {
   EXPECT_DOUBLE_EQ(second.delivery.sent_at, 1.5);
 }
 
-TEST(EventQueue, NextTimePeeksWithoutPopping) {
+TEST(EventQueue, PopUntilLeavesLaterEventsQueued) {
   EventQueue q;
+  EXPECT_FALSE(q.pop_until(10.0).has_value());  // empty
   q.push_timer(4.5, TimerEvent{0, 1});
-  EXPECT_DOUBLE_EQ(q.next_time(), 4.5);
+  EXPECT_FALSE(q.pop_until(4.0).has_value());
   EXPECT_EQ(q.size(), 1u);
+  const std::optional<Event> e = q.pop_until(4.5);
+  ASSERT_TRUE(e.has_value());
+  EXPECT_DOUBLE_EQ(e->time, 4.5);
+  EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, EmptyQueueOperationsThrow) {
+TEST(EventQueue, EmptyQueuePopThrows) {
   EventQueue q;
-  EXPECT_THROW((void)q.next_time(), std::logic_error);
   EXPECT_THROW((void)q.pop(), std::logic_error);
 }
 

@@ -117,9 +117,17 @@ class LockstepHarness {
       ASSERT_FALSE(q.empty()) << "ladder empty early at step " << step;
       ASSERT_FALSE(ref.empty()) << "reference empty early at step " << step;
     }();
-    EXPECT_EQ(q.next_time(), ref.next_time()) << "peek diverged at step " << step;
-    const Event a = q.pop();
+    // The head is not due an instant before its time, and is due at it.
+    const RealTime due = ref.next_time();
+    EXPECT_FALSE(q.pop_until(std::nextafter(due, -1.0)).has_value())
+        << "popped early at step " << step;
+    const std::optional<Event> popped = q.pop_until(due);
     const Event b = ref.pop();
+    if (!popped.has_value()) {
+      ADD_FAILURE() << "head not due at its time at step " << step;
+      return b.time;
+    }
+    const Event& a = *popped;
     EXPECT_EQ(a.time, b.time) << "time diverged at step " << step;
     EXPECT_EQ(a.seq, b.seq) << "seq diverged at step " << step;
     EXPECT_EQ(a.is_timer, b.is_timer) << "kind diverged at step " << step;

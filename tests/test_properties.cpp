@@ -3,7 +3,7 @@
 #include <string>
 #include <tuple>
 
-#include "core/runner.h"
+#include "experiment/scenario.h"
 
 /// Property sweeps: the paper's theorems, checked across the parameter grid.
 /// Every combination must satisfy, simultaneously:
@@ -53,7 +53,8 @@ TEST_P(TheoremSweep, AllBoundsHold) {
   cfg.initial_sync = 0.005;
   cfg.variant = p.variant;
 
-  RunSpec spec;
+  experiment::ScenarioSpec spec;
+  spec.protocol = cfg.variant_name();
   spec.cfg = cfg;
   spec.seed = p.seed;
   spec.horizon = 12.0;
@@ -61,7 +62,7 @@ TEST_P(TheoremSweep, AllBoundsHold) {
   spec.delay = p.delay;
   spec.attack = p.attack;
 
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = experiment::run_scenario(spec);
   EXPECT_TRUE(r.live);
   EXPECT_LE(r.steady_skew, r.bounds.precision);
   EXPECT_LE(r.pulse_spread, r.bounds.pulse_spread + 1e-9);
@@ -122,7 +123,7 @@ TEST_P(DriftMagnitudeSweep, PrecisionHoldsAndScales) {
   cfg.period = 1.0;
   cfg.initial_sync = 0.002;
 
-  RunSpec spec;
+  experiment::ScenarioSpec spec;
   spec.cfg = cfg;
   spec.seed = 9;
   spec.horizon = 12.0;
@@ -130,7 +131,7 @@ TEST_P(DriftMagnitudeSweep, PrecisionHoldsAndScales) {
   spec.delay = DelayKind::kSplit;
   spec.attack = AttackKind::kCrash;
 
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = experiment::run_scenario(spec);
   EXPECT_TRUE(r.live);
   EXPECT_LE(r.steady_skew, r.bounds.precision);
 }
@@ -151,7 +152,7 @@ TEST_P(DelayMagnitudeSweep, PrecisionHolds) {
   cfg.period = 1.0;
   cfg.initial_sync = tdel / 2;
 
-  RunSpec spec;
+  experiment::ScenarioSpec spec;
   spec.cfg = cfg;
   spec.seed = 13;
   spec.horizon = 12.0;
@@ -159,7 +160,7 @@ TEST_P(DelayMagnitudeSweep, PrecisionHolds) {
   spec.delay = DelayKind::kSplit;
   spec.attack = AttackKind::kSpamEarly;
 
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = experiment::run_scenario(spec);
   EXPECT_TRUE(r.live);
   EXPECT_LE(r.steady_skew, r.bounds.precision);
   // Non-vacuous: the adversarial delay policy realizes a decent fraction of
@@ -184,7 +185,7 @@ TEST_P(AlphaSweep, CorrectForAnyReasonableAlpha) {
   cfg.initial_sync = 0.005;
   cfg.alpha = GetParam();
 
-  RunSpec spec;
+  experiment::ScenarioSpec spec;
   spec.cfg = cfg;
   spec.seed = 21;
   spec.horizon = 12.0;
@@ -192,7 +193,7 @@ TEST_P(AlphaSweep, CorrectForAnyReasonableAlpha) {
   spec.delay = DelayKind::kSplit;
   spec.attack = AttackKind::kSpamEarly;
 
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = experiment::run_scenario(spec);
   EXPECT_TRUE(r.live);
   EXPECT_LE(r.steady_skew, r.bounds.precision);
 }
@@ -223,7 +224,8 @@ TEST_P(JoinerSweep, IntegrationAlwaysSucceeds) {
   cfg.period = 1.0;
   cfg.initial_sync = 0.005;
 
-  RunSpec spec;
+  experiment::ScenarioSpec spec;
+  spec.protocol = cfg.variant_name();
   spec.cfg = cfg;
   spec.seed = 17;
   spec.horizon = 20.0;
@@ -233,7 +235,7 @@ TEST_P(JoinerSweep, IntegrationAlwaysSucceeds) {
   spec.joiners = 1;
   spec.join_time = p.join_time;
 
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = experiment::run_scenario(spec);
   EXPECT_TRUE(r.joiners_integrated);
   EXPECT_LE(r.join_latency, r.bounds.max_period + 1e-9);
   EXPECT_LE(r.steady_skew, r.bounds.precision);
@@ -268,7 +270,7 @@ TEST_P(AmortizedSweep, SmoothModeStaysCorrect) {
   cfg.adjust = AdjustMode::kAmortized;
   cfg.amortize_window = GetParam();
 
-  RunSpec spec;
+  experiment::ScenarioSpec spec;
   spec.cfg = cfg;
   spec.seed = 23;
   spec.horizon = 15.0;
@@ -276,7 +278,7 @@ TEST_P(AmortizedSweep, SmoothModeStaysCorrect) {
   spec.delay = DelayKind::kSplit;
   spec.attack = AttackKind::kSpamEarly;
 
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = experiment::run_scenario(spec);
   EXPECT_TRUE(r.live);
   EXPECT_GT(r.envelope.min_rate, 0.5);  // clocks never stall or run backwards
   // Corrections lag by up to one window; allow that slack on top of Dmax.
@@ -298,7 +300,7 @@ TEST_P(SleeperSweep, MidRunWakeupIsHarmless) {
   cfg.period = 1.0;
   cfg.initial_sync = 0.005;
 
-  RunSpec spec;
+  experiment::ScenarioSpec spec;
   spec.cfg = cfg;
   spec.seed = 29;
   spec.horizon = 18.0;
@@ -306,7 +308,7 @@ TEST_P(SleeperSweep, MidRunWakeupIsHarmless) {
   spec.delay = DelayKind::kSplit;
   spec.attack = AttackKind::kSleeper;  // wake time fixed at 10 s in AttackParams
 
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = experiment::run_scenario(spec);
   EXPECT_TRUE(r.live);
   EXPECT_LE(r.steady_skew, r.bounds.precision);
   EXPECT_GE(r.min_period, r.bounds.min_period - 1e-9);
@@ -327,7 +329,7 @@ TEST_P(InitSpreadSweep, ConvergesFromAnySpread) {
   cfg.initial_sync = GetParam();
   cfg.allow_unsynchronized_start = true;
 
-  RunSpec spec;
+  experiment::ScenarioSpec spec;
   spec.cfg = cfg;
   spec.seed = 31;
   spec.horizon = 20.0;
@@ -335,7 +337,7 @@ TEST_P(InitSpreadSweep, ConvergesFromAnySpread) {
   spec.delay = DelayKind::kUniform;
   spec.attack = AttackKind::kSpamEarly;
 
-  const RunResult r = run_sync(spec);
+  const experiment::ScenarioResult r = experiment::run_scenario(spec);
   EXPECT_TRUE(r.live);
   EXPECT_LE(r.steady_skew, r.bounds.precision);
 }
